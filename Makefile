@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet tier1 bench bench-smoke bench-guard bench-shards docs lint golden golden-check race-probe city-scale-smoke shard-race serve-race serve-wire-race fuzz-smoke serve-soak clean
+.PHONY: all build test vet tier1 bench bench-smoke bench-guard bench-shards docs lint golden fuzz-smoke serve-soak clean
 
 all: build
 
@@ -47,68 +47,6 @@ golden:
 	$(GO) test ./internal/experiment -run TestGoldenRunFingerprints -update-goldens
 	$(GO) test ./internal/scenario -run TestGoldenTimelineFigure -update-goldens
 
-# golden-check verifies the committed goldens match the current model (the
-# CI guard that a PR did not drift the model without regenerating — or
-# regenerate without saying so; either way the diff makes it visible). It
-# also asserts every golden config still compiles to the dense channel
-# representation AND the serial event loop: the goldens certify the dense,
-# serial reference trajectories, so a threshold change that silently
-# flipped them to the sparse path or the sharded loop would hollow out
-# what they certify.
-golden-check:
-	$(GO) test ./internal/experiment -run 'TestGoldenRunFingerprints|TestGoldenConfigsSelectDensePath|TestGoldenConfigsSelectSerialPath' -count=1
-	$(GO) test ./internal/scenario -run TestGoldenTimelineFigure -count=1
-
-# city-scale-smoke boots the 2000-node city corridor preset over the
-# sparse audible-set channel under the race detector: representation pin
-# (sparse selected, dense for goldens) plus a short end-to-end run that
-# must form a tree and deliver traffic. The named CI step for the spatial
-# index; the 10k preset is covered by the cheap precompute-only pin.
-city-scale-smoke:
-	$(GO) test -race -count=1 -run 'TestCityPresetsSelectSparse|TestCityScaleSmoke' ./internal/scenario
-	$(GO) test -count=1 -run TestGoldenConfigsSelectDensePath ./internal/experiment
-
-# shard-race runs the region-sharded dispatch surface under the race
-# detector: the coordinator/worker barrier protocol, the cross-shard frame
-# handoff (trace-exact merge, silent timers), and a full sharded
-# protocol run with barrier-control dynamics. The shard-count differential
-# matrices skip under -race (they are minutes-long city runs; their
-# determinism claim is certified without the detector) — this target is
-# the race coverage sized FOR the detector.
-shard-race:
-	$(GO) test -race -count=1 ./internal/sim
-	$(GO) test -race -count=1 -run 'TestShard' ./internal/phy
-	$(GO) test -race -count=1 -run 'TestShardDispatchRace|TestMultiSinkSmoke' ./internal/experiment ./internal/scenario
-
-# race-probe runs the probe-bus test surface under the race detector: the
-# bus itself is single-threaded per run, but many probed runs execute
-# concurrently on the experiment worker pool, so the emit paths must stay
-# data-race-free. CI runs the whole suite with -race; this target is the
-# focused local loop.
-race-probe:
-	$(GO) test -race -count=1 ./internal/probe ./internal/trace ./internal/node
-	$(GO) test -race -count=1 -run 'TestTimeline|TestReplicateCarriesTimelines' ./internal/experiment
-	$(GO) test -race -count=1 -run 'TestAgility|TestWriteTimeline|TestScenarioTimelineRows' ./internal/scenario
-
-# serve-race runs the estimation-service surface under the race detector:
-# every instance pairs one worker goroutine against concurrent HTTP
-# handlers (ingest, barrier-synced queries, snapshot, janitor eviction),
-# so this is the layer where a data race would surface first. Includes
-# the chaostest fault-injection harness end to end.
-serve-race:
-	$(GO) test -race -count=1 ./internal/serve/... ./cmd/fourbitsim
-
-# serve-wire-race runs the binary wire surface under the race detector:
-# the codec + converters, the batching client (whose Feed/Flush paths race
-# against the server's pooled frame readers and batch admission), and the
-# chaostest binary-surface certifications (cross-format bit-identity,
-# kill/restore over binary, hostile frames, batch backpressure). serve-race
-# covers these packages too; this is the focused loop for wire changes and
-# the named CI step that surfaces a wire race in the job list.
-serve-wire-race:
-	$(GO) test -race -count=1 ./internal/serve/wire ./internal/serve/client
-	$(GO) test -race -count=1 -run 'TestBinary' ./internal/serve/chaostest
-
 # fuzz-smoke runs each native fuzz target briefly against the saved seed
 # corpus plus a few seconds of new inputs — a tripwire for decoder
 # regressions (panics, untyped errors, scratch aliasing), not a deep
@@ -118,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeLEFrame -fuzztime 5s ./internal/packet
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEvent -fuzztime 5s ./internal/serve/wire
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWireBatch -fuzztime 5s ./internal/serve/wire
+	$(GO) test -run '^$$' -fuzz FuzzRestoreSnapshot -fuzztime 5s ./internal/serve
 
 # serve-soak is the long-haul chaos run: 8 instances (2 per estimator
 # kind) under sustained randomized ingest with concurrent queriers, one

@@ -261,13 +261,12 @@ func BenchmarkEstimatorTxResult(b *testing.B) {
 }
 
 // BenchmarkCityScale measures the medium's steady-state transmission cost
-// on city-scale deployments over the sparse audible-set channel. Geometry
-// holds the neighborhood constant while n scales: a fixed-width urban
-// corridor at constant density, so node count buys length, the audible
-// degree stays flat, and the reported ns per simulated second must grow
-// near-linearly in n for the spatial index to be doing its job (the dense
-// medium visits all n−1 receivers per transmission, the sparse one only
-// the ~constant audible set). The offered load is scripted at a fixed per-node rate and driven
+// on city-scale deployments over the audible-set channel. Geometry holds
+// the neighborhood constant while n scales: a fixed-width urban corridor
+// at constant density, so node count buys length, the audible degree stays
+// flat, and the reported ns per simulated second must grow near-linearly
+// in n for the spatial index to be doing its job (each transmission visits
+// only the ~constant audible set, not all n−1 receivers). The offered load is scripted at a fixed per-node rate and driven
 // straight through the medium: end-to-end collection adds a ~√n multihop
 // forwarding factor (every packet costs ~tree-depth transmissions) that is
 // routing physics, not channel representation — BenchmarkCityCollection2k
@@ -291,12 +290,8 @@ func BenchmarkCityScale(b *testing.B) {
 			)
 			p := phy.DefaultParams()
 			p.PathLossExponent = 4.0 // urban construction: shorter radio horizon
-			p.SparseAboveN = 1
 			tp := topo.Corridor(n, float64(n)*areaPerNodeM2/widthM, widthM, 9)
 			pre := phy.PrecomputeGeo(tp, p)
-			if !pre.Sparse() {
-				b.Fatal("city bench fell back to the dense representation")
-			}
 
 			delivered := 0
 			var audible int
@@ -368,16 +363,12 @@ func BenchmarkCityScale(b *testing.B) {
 				)
 				cfg := node.DefaultEnvConfig(0, 0)
 				cfg.Phy.PathLossExponent = 4.0
-				cfg.Phy.SparseAboveN = 1
 				cfg.Shards = shards
 				if shardPres[n] == nil {
 					tp := topo.Corridor(n, float64(n)*areaPerNodeM2/widthM, widthM, 9)
 					shardTopos[n], shardPres[n] = tp, phy.PrecomputeGeo(tp, cfg.Phy)
 				}
 				tp, pre := shardTopos[n], shardPres[n]
-				if !pre.Sparse() {
-					b.Fatal("sharded city bench fell back to the dense representation")
-				}
 				cfg.ChanPre = pre
 
 				var delivered int64

@@ -18,8 +18,8 @@
 //     tree depth, per-node delivery).
 //
 // All heavy machinery lives under internal/; this package is the supported
-// surface. See DESIGN.md for the architecture and EXPERIMENTS.md for the
-// paper-vs-measured record.
+// surface. See DESIGN.md for the architecture and its §4 for the figure
+// index and each figure's reproduction target.
 package fourbit
 
 import (

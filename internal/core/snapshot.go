@@ -27,6 +27,11 @@ import (
 // Restore refuses any other value.
 const SnapshotVersion = 1
 
+// maxRestoreDraws bounds the rng position a snapshot may carry. Restore
+// replays the stream one draw at a time (about a second at this bound), so
+// an unbounded position in an untrusted snapshot would pin a CPU.
+const maxRestoreDraws = 1 << 28
+
 // Snapshot/restore errors. Callers branch on these with errors.Is.
 var (
 	// ErrSnapshotRNG: the estimator draws from a plain stream whose
@@ -145,6 +150,10 @@ func checkSnapshot(snap *EstimatorSnapshot, kind EstimatorKind) (*sim.Rand, *Tab
 	}
 	if err := snap.Config.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrSnapshotState, err)
+	}
+	if snap.RNGDraws > maxRestoreDraws {
+		return nil, nil, fmt.Errorf("%w: rng position %d exceeds the replay bound %d",
+			ErrSnapshotState, snap.RNGDraws, uint64(maxRestoreDraws))
 	}
 	if len(snap.Entries) > snap.Config.TableSize {
 		return nil, nil, fmt.Errorf("%w: %d entries exceed table size %d",

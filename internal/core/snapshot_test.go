@@ -227,6 +227,12 @@ func TestSnapshotVersionAndKindGates(t *testing.T) {
 		t.Fatalf("duplicate entries: err = %v, want ErrSnapshotState", err)
 	}
 
+	bad = *snap
+	bad.RNGDraws = maxRestoreDraws + 1
+	if _, err := RestoreKind(&bad); !errors.Is(err, ErrSnapshotState) {
+		t.Fatalf("rng position past the replay bound: err = %v, want ErrSnapshotState", err)
+	}
+
 	if _, err := RestoreKind(nil); !errors.Is(err, ErrSnapshotState) {
 		t.Fatalf("nil snapshot: err = %v, want ErrSnapshotState", err)
 	}

@@ -30,8 +30,8 @@ func TestFig2Orderings(t *testing.T) {
 	// Paper Figure 2's core claim: the 10-entry link table inflates CTP's
 	// cost well above both alternatives (paper: 3.14 vs 2.28 and 1.86).
 	// The relative order of MultiHopLQI and CTP-unlimited varies with the
-	// channel realization here (see EXPERIMENTS.md); the restricted-table
-	// penalty is the robust effect.
+	// channel realization here; the restricted-table penalty is the robust
+	// effect.
 	if !(ctp.Cost > lqi.Cost) {
 		t.Errorf("cost ordering: CTP %.2f should exceed MultiHopLQI %.2f", ctp.Cost, lqi.Cost)
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"fourbit/internal/phy"
 	"fourbit/internal/sim"
 	"fourbit/internal/topo"
 )
@@ -41,23 +40,6 @@ func goldenConfigs() []RunConfig {
 			rc.TxPowerDBm = -10
 			return rc
 		}(),
-	}
-}
-
-// TestGoldenConfigsSelectDensePath pins that every golden configuration
-// stays on the dense channel representation: the goldens certify the dense
-// reference trajectories, so if a threshold change ever flipped one of
-// them to the sparse path, the fingerprint comparison would silently start
-// certifying the wrong thing. (The sparse path has its own differential
-// harness against the dense one; this keeps the anchor fixed.)
-func TestGoldenConfigsSelectDensePath(t *testing.T) {
-	for _, rc := range goldenConfigs() {
-		cfg := resolveEnv(rc)
-		pre := phy.PrecomputeGeo(rc.Topo, cfg.Phy)
-		if pre.Sparse() {
-			t.Errorf("golden %s/%v selects the sparse representation; goldens must stay dense",
-				rc.Topo.Name, rc.Protocol)
-		}
 	}
 }
 

@@ -6,5 +6,5 @@ package experiment
 // detector. The shard-count differential matrices skip under it: -race
 // multiplies their minutes-long city runs past any CI budget, and the
 // sharded dispatch surface has its own race coverage sized for the
-// detector (TestShardDispatchRace, the `make shard-race` step).
+// detector (TestShardDispatchRace).
 const raceEnabled = true

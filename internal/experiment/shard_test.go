@@ -23,17 +23,14 @@ import (
 // The default suite runs a trimmed but still end-to-end sub-matrix (full
 // count axis at full power on the 2k corridor; count-axis endpoints for
 // the other variants), and everything here skips under -race — the race
-// detector's shard coverage is TestShardDispatchRace (`make shard-race`),
-// sized for it.
+// detector's shard coverage is TestShardDispatchRace, sized for it.
 var shardCert = flag.Bool("shard-cert", false, "run the exhaustive shard-count certification matrix")
 
 // TestGoldenConfigsSelectSerialPath pins that every golden configuration
 // resolves to the serial event loop: the goldens certify the serial
 // reference trajectories byte-for-byte, so if the auto-sharding threshold
 // ever captured one of them, the fingerprint comparison would silently
-// start certifying the sharded trajectory instead. The companion of
-// TestGoldenConfigsSelectDensePath, for the execution axis rather than
-// the channel-representation axis.
+// start certifying the sharded trajectory instead.
 func TestGoldenConfigsSelectSerialPath(t *testing.T) {
 	for _, rc := range goldenConfigs() {
 		if got := resolveShards(rc); got != 0 {
@@ -118,9 +115,6 @@ func TestShardCountInvarianceCity2k(t *testing.T) {
 	skipUnlessDifferential(t)
 	tp := topo.Corridor(2000, 1500, 40, 1)
 	pre := cityPre(tp)
-	if !pre.Sparse() {
-		t.Fatal("2k corridor no longer selects the sparse channel; differential preconditions changed")
-	}
 	dur, warm := 20*sim.Second, 8*sim.Second
 	if *shardCert {
 		dur, warm = 40*sim.Second, 15*sim.Second
@@ -171,7 +165,7 @@ func TestShardCountInvarianceCity10k(t *testing.T) {
 }
 
 // TestShardDispatchRace is a deliberately small sharded run for the race
-// detector (the `make shard-race` CI step): enough shards for real
+// detector (CI's -race pass): enough shards for real
 // cross-goroutine handoff and barrier-control dynamics, short enough that
 // -race stays cheap.
 func TestShardDispatchRace(t *testing.T) {

@@ -77,8 +77,7 @@ func TestReplicateWorkersSharedPreInvariance(t *testing.T) {
 
 	// Pre-build the immutable part once, hand it to every run explicitly.
 	envCfg := resolveEnv(rc)
-	dist, extra := rc.Topo.Matrices()
-	envCfg.ChanPre = phy.Precompute(dist, extra, envCfg.Phy)
+	envCfg.ChanPre = phy.PrecomputeGeo(rc.Topo, envCfg.Phy)
 	shared := rc
 	shared.Env = &envCfg
 

@@ -1,13 +1,13 @@
 package lqirouter
 
 import (
-	"math"
 	"testing"
 
 	"fourbit/internal/mac"
 	"fourbit/internal/packet"
 	"fourbit/internal/phy"
 	"fourbit/internal/sim"
+	"fourbit/internal/topo"
 )
 
 type rig struct {
@@ -25,17 +25,12 @@ func newRig(t *testing.T, seed uint64, positions [][2]float64, cfg Config) *rig 
 	p := phy.DefaultParams()
 	p.ShadowSigmaDB, p.TxVarSigmaDB, p.FadeSigmaDB, p.NoiseDriftSigmaDB = 0, 0, 0, 0
 	p.NoiseBurstAmpDB, p.PacketJitterSigmaDB = 0, 0
-	dist := make([][]float64, n)
-	for i := range dist {
-		dist[i] = make([]float64, n)
-		for j := range dist[i] {
-			dx := positions[i][0] - positions[j][0]
-			dy := positions[i][1] - positions[j][1]
-			dist[i][j] = math.Sqrt(dx*dx + dy*dy)
-		}
+	tp := &topo.Topology{Name: "rig"}
+	for _, xy := range positions {
+		tp.Positions = append(tp.Positions, topo.Point{X: xy[0], Y: xy[1]})
 	}
 	seeds := sim.NewSeedSpace(seed)
-	ch := phy.NewChannel(dist, nil, p, seeds)
+	ch := phy.PrecomputeGeo(tp, p).NewChannel(seeds)
 	med := phy.NewMedium(clock, ch, phy.DefaultRadioParams(), phy.DefaultLQIParams(), seeds)
 	r := &rig{clock: clock, med: med, ch: ch}
 	for i := 0; i < n; i++ {

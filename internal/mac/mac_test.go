@@ -6,6 +6,7 @@ import (
 	"fourbit/internal/packet"
 	"fourbit/internal/phy"
 	"fourbit/internal/sim"
+	"fourbit/internal/topo"
 )
 
 // rig is a small line network of MACs over a quiet channel.
@@ -22,19 +23,8 @@ func newRig(t *testing.T, n int, spacing float64, seed uint64) *rig {
 	p.ShadowSigmaDB, p.TxVarSigmaDB, p.FadeSigmaDB, p.NoiseDriftSigmaDB = 0, 0, 0, 0
 	p.NoiseBurstAmpDB = 0
 	p.PacketJitterSigmaDB = 0
-	dist := make([][]float64, n)
-	for i := range dist {
-		dist[i] = make([]float64, n)
-		for j := range dist[i] {
-			d := float64(i - j)
-			if d < 0 {
-				d = -d
-			}
-			dist[i][j] = d * spacing
-		}
-	}
 	seeds := sim.NewSeedSpace(seed)
-	ch := phy.NewChannel(dist, nil, p, seeds)
+	ch := phy.PrecomputeGeo(topo.Line(n, spacing), p).NewChannel(seeds)
 	med := phy.NewMedium(clock, ch, phy.DefaultRadioParams(), phy.DefaultLQIParams(), seeds)
 	r := &rig{clock: clock, med: med}
 	for i := 0; i < n; i++ {

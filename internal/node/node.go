@@ -192,9 +192,7 @@ func NewEnv(t *topo.Topology, cfg EnvConfig) *Env {
 		ch = cfg.ChanPre.NewChannel(seeds)
 	} else {
 		// PrecomputeGeo works from per-pair geometry accessors, so a
-		// city-scale topology never materializes O(n²) distance matrices;
-		// below the sparse threshold it is bit-identical to the historical
-		// Matrices+NewChannel path.
+		// city-scale topology never materializes O(n²) distance matrices.
 		ch = phy.PrecomputeGeo(t, cfg.Phy).NewChannel(seeds)
 	}
 	med := phy.NewMedium(clock, ch, cfg.Radio, cfg.LQI, seeds)

@@ -50,21 +50,6 @@ type Params struct {
 	// low draw are rare, so received packets systematically report better
 	// channel quality than the link average.
 	PacketJitterSigmaDB float64
-	// SparseAboveN selects the sparse audible-set representation (see
-	// spatial.go) for networks of at least this many nodes, replacing the
-	// dense n×n gain/fade/modifier arrays with a per-node CSR over links
-	// whose static gain clears AudibleFloorDB. Zero means
-	// DefaultSparseAboveN; negative disables the sparse path entirely.
-	// Representation choice never changes results — the differential
-	// tests pin byte-identical trajectories either way.
-	SparseAboveN int
-	// AudibleFloorDB is the static-gain storage floor of the sparse
-	// representation in dB (a large negative number). Zero means
-	// DefaultAudibleFloorDB, which sits a guard band below the weakest
-	// signal the medium's detection threshold could ever admit. NewMedium
-	// rejects a sparse channel whose floor is too high for the radio's
-	// configured detection threshold.
-	AudibleFloorDB float64
 }
 
 // DefaultParams returns the indoor-office parameterization used by the
@@ -100,31 +85,28 @@ type LinkModifier interface {
 }
 
 // Channel holds the directed link-gain model between n nodes and the
-// per-node noise processes. It is built once from inter-node distances (and
-// optional extra static attenuation, e.g. floors/walls from the topology)
-// and then queried per packet.
+// per-node noise processes. It is built once from node geometry (distances
+// plus static obstruction loss, e.g. floors/walls from the topology) and
+// then queried per packet.
 type Channel struct {
 	p Params
 	n int
 
-	staticGainDB []float64         // dense: n*n path loss + shadowing + tx offset, tx→rx
-	noiseFigDB   []float64         // per node
-	noiseDrift   []ouState         // per node
-	fade         []ouState         // dense: per unordered pair at [a*n+b], a<b; sparse: per stored pair
-	bursts       []*GilbertElliott // per-node noise bursts (nil if disabled)
-	modifiers    []LinkModifier    // dense: n*n scripted link-loss slots
-	noiseMods    [][]LinkModifier  // per-node scripted noise excursions (nil if unused)
+	noiseFigDB []float64         // per node
+	noiseDrift []ouState         // per node
+	fade       []ouState         // per stored unordered pair (adjPair)
+	bursts     []*GilbertElliott // per-node noise bursts (nil if disabled)
+	noiseMods  [][]LinkModifier  // per-node scripted noise excursions (nil if unused)
 
-	// Sparse audible-set representation (see spatial.go), active instead
-	// of the dense arrays when sparse is true: a symmetric CSR over the
+	// Audible-set adjacency (see spatial.go): a symmetric CSR over the
 	// stored directed links. adjNbr[adjOff[i]:adjOff[i+1]] lists i's
 	// audible neighbors ascending; the parallel arrays carry the directed
-	// static gain (dB and linear) and the pair's index into fade. Culled
-	// links read as gain −Inf (0 linear) and hold no state at all — no
-	// fading process, no modifier slot. modMap replaces the dense
-	// modifiers array (scripted dynamics touch a handful of links; a map
-	// beats 800 MB of nil slots at 10k nodes).
-	sparse     bool
+	// static gain (dB and linear, the latter so the per-frame path converts
+	// only the time-varying dB terms) and the pair's index into fade.
+	// Culled links read as gain −Inf (0 linear) and hold no state at all —
+	// no fading process, no modifier. modMap holds the scripted link
+	// modifiers keyed by tx*n+rx (scripted dynamics touch a handful of
+	// links; a map beats 800 MB of nil slots at 10k nodes).
 	adjOff     []int32
 	adjNbr     []int32
 	adjGainDB  []float64
@@ -132,18 +114,14 @@ type Channel struct {
 	adjPair    []int32
 	modMap     map[int64]LinkModifier
 
-	// Linear-domain mirrors of the static model, precomputed once so the
-	// per-frame path (GainLin, NoiseMW) converts only the time-varying dB
-	// terms.
-	staticGainLin []float64 // n*n: 10^(staticGainDB/10)
 	noiseMWStatic []float64 // per node: floor + noise figure in milliwatts
 
 	// Dynamics bookkeeping. AddNoiseModifier bumps noiseEpoch, which
 	// invalidates the same-instant noise memo below; SetModifier maintains
 	// linkModCount, the gain side's invalidation mechanism — while it is
 	// zero (no scripted link dynamics installed, the common case for every
-	// non-scenario run) the per-query fast path skips the n*n
-	// modifier-slot load entirely. There is no gain-side memo to version:
+	// non-scenario run) the per-query fast path skips the modifier map
+	// lookup entirely. There is no gain-side memo to version:
 	// same-instant gain repeats were measured too rare to pay for one.
 	noiseEpoch   uint32
 	linkModCount int
@@ -172,8 +150,7 @@ type Channel struct {
 	// Sharded-dispatch state (nil on the serial path; see EnableSharded):
 	// directed fading processes plus per-receiver random streams, so that
 	// concurrent shards never touch a shared generator or a shared OU
-	// state. shardFade is indexed like the gain representation: by
-	// adjacency slot when sparse, by tx*n+rx when dense. The coefficient
+	// state. shardFade is indexed by adjacency slot. The coefficient
 	// caches get per-shard replicas too (indexed by shardOf[rx]): they are
 	// exactness-transparent but lazily written, so sharing one across
 	// shards would be a data race — and a torn (dt, decay) pair read by
@@ -203,11 +180,7 @@ func (c *Channel) EnableSharded(seeds *sim.SeedSpace, shardOf []int32, shards in
 	if c.shardFadeRng != nil {
 		return
 	}
-	if c.sparse {
-		c.shardFade = make([]ouState, len(c.adjNbr))
-	} else {
-		c.shardFade = make([]ouState, c.n*c.n)
-	}
+	c.shardFade = make([]ouState, len(c.adjNbr))
 	c.shardFadeRng = make([]*sim.Rand, c.n)
 	c.shardNoiseRng = make([]*sim.Rand, c.n)
 	for i := 0; i < c.n; i++ {
@@ -238,34 +211,21 @@ type chanMemo struct {
 }
 
 // ChannelPre is the immutable, seed-independent half of a channel: the
-// deterministic path-loss geometry (the n·log10 matrix — by far the most
-// expensive part of channel construction) plus the parameters. One
-// ChannelPre serves any number of per-seed Channel instantiations, and it
-// is safe to share read-only across goroutines: after Precompute returns,
-// nothing ever writes it (NewChannel only reads basePL/extraDB).
+// deterministic near-pair geometry (see spatial.go) plus the parameters.
+// One ChannelPre serves any number of per-seed Channel instantiations, and
+// it is safe to share read-only across goroutines: after PrecomputeGeo
+// returns, nothing ever writes it (NewChannel only reads it).
 type ChannelPre struct {
 	p Params
 	n int
 
-	// basePL is the distance-determined path loss per unordered pair
-	// (PathLossRefDB + 10·Exponent·log10(max(d, 0.5m))), stored at [i*n+j]
-	// for i < j. The per-seed terms — shadowing draw, then static
-	// obstruction loss — are added in NewChannel in exactly the order the
-	// monolithic constructor used, so the float results are bit-identical.
-	basePL []float64
-	// extraDB is a defensive copy of the static obstruction loss per
-	// unordered pair ([i*n+j], i < j); nil when the topology had none.
-	extraDB []float64
-
-	// Sparse near-pair geometry (see spatial.go), replacing basePL/extraDB
-	// when sparse is true: a CSR over unordered pairs within the cutoff
+	// Near-pair geometry: a CSR over unordered pairs within the cutoff
 	// radius (row i lists j > i ascending) with each pair's deterministic
-	// path loss and obstruction loss, plus the retained Geometry for the
-	// rare beyond-cutoff pair whose shadowing draw defeats the certified
-	// bound plAtCutoff.
-	sparse     bool
+	// path loss and obstruction loss (nearExtra is nil when every
+	// obstruction loss is zero), plus the retained Geometry for the rare
+	// beyond-cutoff pair whose shadowing draw defeats the certified bound
+	// plAtCutoff.
 	geo        Geometry
-	cutoffM    float64
 	plAtCutoff float64
 	nearOff    []int32
 	nearNbr    []int32
@@ -273,42 +233,14 @@ type ChannelPre struct {
 	nearExtra  []float64
 }
 
-// precomputeCount counts Precompute invocations process-wide. It exists so
-// tests can assert that replicated runs share one precompute per cell
+// precomputeCount counts PrecomputeGeo invocations process-wide. It exists
+// so tests can assert that replicated runs share one precompute per cell
 // instead of rebuilding the geometry per seed.
 var precomputeCount atomic.Uint64
 
-// PrecomputeCount returns the process-wide number of Precompute calls
+// PrecomputeCount returns the process-wide number of PrecomputeGeo calls
 // (test/diagnostic hook for setup-sharing assertions).
 func PrecomputeCount() uint64 { return precomputeCount.Load() }
-
-// Precompute builds the immutable half of a channel for nodes separated by
-// dist (meters, dist[i][j] == dist[j][i]) with optional extraLossDB (static
-// obstruction loss per unordered pair; nil means none). It draws no
-// randomness: the result is a pure function of (dist, extraLossDB, p).
-func Precompute(dist [][]float64, extraLossDB [][]float64, p Params) *ChannelPre {
-	precomputeCount.Add(1)
-	n := len(dist)
-	pre := &ChannelPre{p: p, n: n, basePL: make([]float64, n*n)}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d := dist[i][j]
-			if d < 0.5 {
-				d = 0.5
-			}
-			pre.basePL[i*n+j] = p.PathLossRefDB + 10*p.PathLossExponent*math.Log10(d)
-		}
-	}
-	if extraLossDB != nil {
-		pre.extraDB = make([]float64, n*n)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				pre.extraDB[i*n+j] = extraLossDB[i][j]
-			}
-		}
-	}
-	return pre
-}
 
 // N returns the number of nodes the precompute covers.
 func (pre *ChannelPre) N() int { return pre.n }
@@ -318,9 +250,9 @@ func (pre *ChannelPre) Params() Params { return pre.p }
 
 // NewChannel instantiates the per-seed half over the shared precompute:
 // hardware variation, shadowing, and the dynamic processes, drawn from
-// streams of seeds in the same order as the monolithic constructor, so a
-// precompute-split channel is bit-identical to a direct one. The receiver
-// is only read; concurrent NewChannel calls over one ChannelPre are safe.
+// streams of seeds, so two channels built from the same precompute and
+// seeds are identical. The receiver is only read; concurrent NewChannel
+// calls over one ChannelPre are safe.
 func (pre *ChannelPre) NewChannel(seeds *sim.SeedSpace) *Channel {
 	n := pre.n
 	p := pre.p
@@ -351,31 +283,7 @@ func (pre *ChannelPre) NewChannel(seeds *sim.SeedSpace) *Channel {
 			c.bursts[i] = backing[i].SharedDecay(&c.burstCo)
 		}
 	}
-	if pre.sparse {
-		pre.newSparse(c, static, txOff)
-	} else {
-		c.staticGainDB = make([]float64, n*n)
-		c.fade = make([]ouState, n*n)
-		c.modifiers = make([]LinkModifier, n*n)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				pl := pre.basePL[i*n+j]
-				pl += static.Normal(0, p.ShadowSigmaDB)
-				if pre.extraDB != nil {
-					pl += pre.extraDB[i*n+j]
-				}
-				// Environment loss is symmetric; asymmetry enters through
-				// the transmitter's power offset (receiver noise figure is
-				// applied on the noise side).
-				c.staticGainDB[i*n+j] = -pl + txOff[i]
-				c.staticGainDB[j*n+i] = -pl + txOff[j]
-			}
-		}
-		c.staticGainLin = make([]float64, n*n)
-		for i, g := range c.staticGainDB {
-			c.staticGainLin[i] = DBToLinear(g)
-		}
-	}
+	pre.buildLinks(c, static, txOff)
 	c.noiseMWStatic = make([]float64, n)
 	for i := 0; i < n; i++ {
 		c.noiseMWStatic[i] = DBmToMilliwatts(p.NoiseFloorDBm + c.noiseFigDB[i])
@@ -383,16 +291,6 @@ func (pre *ChannelPre) NewChannel(seeds *sim.SeedSpace) *Channel {
 	c.noiseEpoch = 1
 	c.noiseMemo = make([]chanMemo, n)
 	return c
-}
-
-// NewChannel builds the channel for nodes separated by dist (meters,
-// dist[i][j] == dist[j][i]) with optional extraLossDB (static obstruction
-// loss per unordered pair; nil means none). Random draws come from streams
-// of rng so that two channels built from the same seeds are identical.
-// It is Precompute + ChannelPre.NewChannel in one step; replicated runs
-// should precompute once and instantiate per seed instead.
-func NewChannel(dist [][]float64, extraLossDB [][]float64, p Params, seeds *sim.SeedSpace) *Channel {
-	return Precompute(dist, extraLossDB, p).NewChannel(seeds)
 }
 
 // N returns the number of nodes the channel connects.
@@ -403,46 +301,27 @@ func (c *Channel) PacketJitterSigmaDB() float64 { return c.p.PacketJitterSigmaDB
 
 // GainDB returns the instantaneous channel gain from tx to rx at time t,
 // including static path loss/shadowing/hardware offsets, time-varying
-// fading, and any installed link modifier. Gain is negative (a loss). On a
-// sparse channel a culled link reads as −Inf without sampling anything:
-// no fading state exists for it, and no modifier can resurrect it (the
-// link was certified inaudible at its best; scripted dynamics only ever
-// add loss on top).
+// fading, and any installed link modifier. Gain is negative (a loss). A
+// culled link reads as −Inf without sampling anything: no fading state
+// exists for it, and no modifier can resurrect it (the link was certified
+// inaudible at its best; scripted dynamics only ever add loss on top).
 func (c *Channel) GainDB(tx, rx int, t sim.Time) float64 {
-	if c.sparse {
-		slot := c.slotOf(tx, rx)
-		if slot < 0 {
-			return math.Inf(-1)
-		}
-		g := c.adjGainDB[slot]
-		if c.p.FadeSigmaDB > 0 {
-			if c.shardFade != nil {
-				g += c.shardFade[slot].sample(t, c.p.FadeTau, c.p.FadeSigmaDB, c.shardFadeRng[rx], &c.shardFadeCo[c.shardOf[rx]])
-			} else {
-				// Fading is a property of the physical path: one process per
-				// stored unordered pair, so the two directions fade together.
-				g += c.fade[c.adjPair[slot]].sample(t, c.p.FadeTau, c.p.FadeSigmaDB, c.fadeRng, &c.fadeCo)
-			}
-		}
-		if c.linkModCount > 0 {
-			if m := c.modMap[int64(tx)*int64(c.n)+int64(rx)]; m != nil {
-				g -= m.ExtraLossDB(t)
-			}
-		}
-		return g
+	slot := c.slotOf(tx, rx)
+	if slot < 0 {
+		return math.Inf(-1)
 	}
-	g := c.staticGainDB[tx*c.n+rx]
+	g := c.adjGainDB[slot]
 	if c.p.FadeSigmaDB > 0 {
 		if c.shardFade != nil {
-			g += c.shardFade[tx*c.n+rx].sample(t, c.p.FadeTau, c.p.FadeSigmaDB, c.shardFadeRng[rx], &c.shardFadeCo[c.shardOf[rx]])
+			g += c.shardFade[slot].sample(t, c.p.FadeTau, c.p.FadeSigmaDB, c.shardFadeRng[rx], &c.shardFadeCo[c.shardOf[rx]])
 		} else {
-			// Fading is a property of the physical path: use one process per
-			// unordered pair so the two directions fade together.
-			g += c.fadeState(tx, rx).sample(t, c.p.FadeTau, c.p.FadeSigmaDB, c.fadeRng, &c.fadeCo)
+			// Fading is a property of the physical path: one process per
+			// stored unordered pair, so the two directions fade together.
+			g += c.fade[c.adjPair[slot]].sample(t, c.p.FadeTau, c.p.FadeSigmaDB, c.fadeRng, &c.fadeCo)
 		}
 	}
 	if c.linkModCount > 0 {
-		if m := c.modifiers[tx*c.n+rx]; m != nil {
+		if m := c.modMap[int64(tx)*int64(c.n)+int64(rx)]; m != nil {
 			g -= m.ExtraLossDB(t)
 		}
 	}
@@ -453,29 +332,31 @@ func (c *Channel) GainDB(tx, rx int, t sim.Time) float64 {
 // static gain costs nothing and only the time-varying dB terms (fading,
 // modifiers) pay one exp. It samples the same fading process in the same
 // order as GainDB, so the two are interchangeable without perturbing the
-// random streams. While no link modifiers are installed (linkModCount ==
-// 0, maintained by SetModifier) the modifier layer — an n²-slot pointer
-// load per query — is skipped entirely.
+// random streams. A culled link reads as 0.
 func (c *Channel) GainLin(tx, rx int, t sim.Time) float64 {
-	if c.sparse {
-		slot := c.slotOf(tx, rx)
-		if slot < 0 {
-			return 0
-		}
-		return c.gainLinSlot(tx, rx, slot, t)
+	slot := c.slotOf(tx, rx)
+	if slot < 0 {
+		return 0
 	}
-	idx := tx*c.n + rx
-	g := c.staticGainLin[idx]
+	return c.gainLinSlot(tx, rx, slot, t)
+}
+
+// gainLinSlot is GainLin for a known adjacency slot — the hot path the
+// medium uses for candidate receivers, skipping the row search. While no
+// link modifiers are installed (linkModCount == 0, maintained by
+// SetModifier) the modifier map lookup is skipped entirely.
+func (c *Channel) gainLinSlot(tx, rx int, slot int32, t sim.Time) float64 {
+	g := c.adjGainLin[slot]
 	varDB := 0.0
 	if c.p.FadeSigmaDB > 0 {
 		if c.shardFade != nil {
-			varDB = c.shardFade[idx].sample(t, c.p.FadeTau, c.p.FadeSigmaDB, c.shardFadeRng[rx], &c.shardFadeCo[c.shardOf[rx]])
+			varDB = c.shardFade[slot].sample(t, c.p.FadeTau, c.p.FadeSigmaDB, c.shardFadeRng[rx], &c.shardFadeCo[c.shardOf[rx]])
 		} else {
-			varDB = c.fadeState(tx, rx).sample(t, c.p.FadeTau, c.p.FadeSigmaDB, c.fadeRng, &c.fadeCo)
+			varDB = c.fade[c.adjPair[slot]].sample(t, c.p.FadeTau, c.p.FadeSigmaDB, c.fadeRng, &c.fadeCo)
 		}
 	}
 	if c.linkModCount > 0 {
-		if lm := c.modifiers[idx]; lm != nil {
+		if lm := c.modMap[int64(tx)*int64(c.n)+int64(rx)]; lm != nil {
 			varDB -= lm.ExtraLossDB(t)
 		}
 	}
@@ -485,24 +366,14 @@ func (c *Channel) GainLin(tx, rx int, t sim.Time) float64 {
 	return g
 }
 
-func (c *Channel) fadeState(a, b int) *ouState {
-	if a > b {
-		a, b = b, a
-	}
-	return &c.fade[a*c.n+b]
-}
-
 // StaticGainDB returns the time-invariant part of the link gain, used for
-// neighbor-candidate pruning and for topology reports. Culled links on a
-// sparse channel read as −Inf.
+// neighbor-candidate pruning and for topology reports. Culled links read
+// as −Inf.
 func (c *Channel) StaticGainDB(tx, rx int) float64 {
-	if c.sparse {
-		if slot := c.slotOf(tx, rx); slot >= 0 {
-			return c.adjGainDB[slot]
-		}
-		return math.Inf(-1)
+	if slot := c.slotOf(tx, rx); slot >= 0 {
+		return c.adjGainDB[slot]
 	}
-	return c.staticGainDB[tx*c.n+rx]
+	return math.Inf(-1)
 }
 
 // NoiseDBm returns the instantaneous noise floor at rx, including slow
@@ -563,42 +434,28 @@ func (c *Channel) NoiseMW(rx int, t sim.Time) float64 {
 // SetModifier installs (or clears, with nil) a scripted loss process on the
 // directed link tx→rx. linkModCount tracks how many modifiers are
 // installed so the gain fast path can skip the modifier layer entirely
-// while the count is zero.
+// while the count is zero. Modifiers are honored on stored links only: a
+// culled link has no state and reads −Inf regardless, and a loss process
+// can never raise a gain that was certified inaudible at its ceiling.
 func (c *Channel) SetModifier(tx, rx int, m LinkModifier) {
 	if tx < 0 || tx >= c.n || rx < 0 || rx >= c.n {
 		panic(fmt.Sprintf("phy: SetModifier(%d,%d) out of range n=%d", tx, rx, c.n))
 	}
-	if c.sparse {
-		// Modifiers are honored on stored links only: a culled link has no
-		// state and reads −Inf regardless, and a loss process can never
-		// raise a gain that was certified inaudible at its ceiling. The
-		// map is keyed by the directed index; it stays tiny (scripted
-		// dynamics touch a handful of links).
-		key := int64(tx)*int64(c.n) + int64(rx)
-		switch old := c.modMap[key]; {
-		case old == nil && m != nil:
-			c.linkModCount++
-		case old != nil && m == nil:
-			c.linkModCount--
-		}
-		if m == nil {
-			delete(c.modMap, key)
-			return
-		}
-		if c.modMap == nil {
-			c.modMap = make(map[int64]LinkModifier)
-		}
-		c.modMap[key] = m
-		return
-	}
-	idx := tx*c.n + rx
-	switch old := c.modifiers[idx]; {
+	key := int64(tx)*int64(c.n) + int64(rx)
+	switch old := c.modMap[key]; {
 	case old == nil && m != nil:
 		c.linkModCount++
 	case old != nil && m == nil:
 		c.linkModCount--
 	}
-	c.modifiers[idx] = m
+	if m == nil {
+		delete(c.modMap, key)
+		return
+	}
+	if c.modMap == nil {
+		c.modMap = make(map[int64]LinkModifier)
+	}
+	c.modMap[key] = m
 }
 
 // SetModifierBoth installs the same modifier on both directions of a link.

@@ -5,17 +5,22 @@ import (
 	"testing"
 
 	"fourbit/internal/sim"
+	"fourbit/internal/topo"
 )
 
-func lineDist(n int, spacing float64) [][]float64 {
-	d := make([][]float64, n)
-	for i := range d {
-		d[i] = make([]float64, n)
-		for j := range d[i] {
-			d[i][j] = math.Abs(float64(i-j)) * spacing
-		}
+// lineChannel builds the channel over n nodes on a line at the given
+// spacing (meters).
+func lineChannel(n int, spacing float64, p Params, seed uint64) *Channel {
+	return PrecomputeGeo(topo.Line(n, spacing), p).NewChannel(sim.NewSeedSpace(seed))
+}
+
+// axisTopo places one node at each x coordinate (meters).
+func axisTopo(xs ...float64) *topo.Topology {
+	tp := &topo.Topology{Name: "axis"}
+	for _, x := range xs {
+		tp.Positions = append(tp.Positions, topo.Point{X: x})
 	}
-	return d
+	return tp
 }
 
 func TestChannelGainDecreasesWithDistance(t *testing.T) {
@@ -23,7 +28,7 @@ func TestChannelGainDecreasesWithDistance(t *testing.T) {
 	p.ShadowSigmaDB = 0
 	p.TxVarSigmaDB = 0
 	p.FadeSigmaDB = 0
-	ch := NewChannel(lineDist(5, 10), nil, p, sim.NewSeedSpace(1))
+	ch := lineChannel(5, 10, p, 1)
 	g1 := ch.GainDB(0, 1, 0)
 	g2 := ch.GainDB(0, 2, 0)
 	g4 := ch.GainDB(0, 4, 0)
@@ -40,7 +45,7 @@ func TestChannelShadowingIsSymmetricWithoutHardwareVariation(t *testing.T) {
 	p := DefaultParams()
 	p.TxVarSigmaDB = 0
 	p.FadeSigmaDB = 0
-	ch := NewChannel(lineDist(6, 7), nil, p, sim.NewSeedSpace(2))
+	ch := lineChannel(6, 7, p, 2)
 	for i := 0; i < 6; i++ {
 		for j := i + 1; j < 6; j++ {
 			if ch.StaticGainDB(i, j) != ch.StaticGainDB(j, i) {
@@ -53,7 +58,7 @@ func TestChannelShadowingIsSymmetricWithoutHardwareVariation(t *testing.T) {
 func TestChannelHardwareVariationCreatesAsymmetry(t *testing.T) {
 	p := DefaultParams()
 	p.FadeSigmaDB = 0
-	ch := NewChannel(lineDist(10, 7), nil, p, sim.NewSeedSpace(3))
+	ch := lineChannel(10, 7, p, 3)
 	asym := 0
 	for i := 0; i < 10; i++ {
 		for j := i + 1; j < 10; j++ {
@@ -69,8 +74,8 @@ func TestChannelHardwareVariationCreatesAsymmetry(t *testing.T) {
 
 func TestChannelDeterministicAcrossBuilds(t *testing.T) {
 	p := DefaultParams()
-	a := NewChannel(lineDist(8, 6), nil, p, sim.NewSeedSpace(42))
-	b := NewChannel(lineDist(8, 6), nil, p, sim.NewSeedSpace(42))
+	a := lineChannel(8, 6, p, 42)
+	b := lineChannel(8, 6, p, 42)
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 8; j++ {
 			if a.StaticGainDB(i, j) != b.StaticGainDB(i, j) {
@@ -86,15 +91,13 @@ func TestChannelDeterministicAcrossBuilds(t *testing.T) {
 func TestChannelExtraLossApplied(t *testing.T) {
 	p := DefaultParams()
 	p.ShadowSigmaDB, p.TxVarSigmaDB, p.FadeSigmaDB = 0, 0, 0
-	n := 3
-	extra := make([][]float64, n)
-	for i := range extra {
-		extra[i] = make([]float64, n)
-	}
-	extra[0][2] = 15
-	extra[2][0] = 15
-	base := NewChannel(lineDist(n, 10), nil, p, sim.NewSeedSpace(4))
-	walled := NewChannel(lineDist(n, 10), extra, p, sim.NewSeedSpace(4))
+	base := lineChannel(3, 10, p, 4)
+	// A 15 dB slab between node 2 and the others, with no vertical offset:
+	// distances stay those of the line.
+	tp := topo.Line(3, 10)
+	tp.Positions[2].Floor = 1
+	tp.FloorLossDB = 15
+	walled := PrecomputeGeo(tp, p).NewChannel(sim.NewSeedSpace(4))
 	diff := base.StaticGainDB(0, 2) - walled.StaticGainDB(0, 2)
 	if math.Abs(diff-15) > 1e-9 {
 		t.Fatalf("extra loss not applied: diff = %v, want 15", diff)
@@ -104,7 +107,7 @@ func TestChannelExtraLossApplied(t *testing.T) {
 func TestFadingVariesOverTimeButStaysZeroMean(t *testing.T) {
 	p := DefaultParams()
 	p.ShadowSigmaDB, p.TxVarSigmaDB = 0, 0
-	ch := NewChannel(lineDist(2, 10), nil, p, sim.NewSeedSpace(5))
+	ch := lineChannel(2, 10, p, 5)
 	static := ch.StaticGainDB(0, 1)
 	var sum, sumsq float64
 	n := 3000
@@ -126,7 +129,7 @@ func TestFadingVariesOverTimeButStaysZeroMean(t *testing.T) {
 func TestFadingSymmetricAcrossDirections(t *testing.T) {
 	p := DefaultParams()
 	p.ShadowSigmaDB, p.TxVarSigmaDB = 0, 0
-	ch := NewChannel(lineDist(2, 10), nil, p, sim.NewSeedSpace(6))
+	ch := lineChannel(2, 10, p, 6)
 	// Fading is a path property: both directions must see the same process.
 	for i := 1; i <= 20; i++ {
 		at := sim.Time(i) * sim.Second
@@ -141,7 +144,7 @@ func TestFadingSymmetricAcrossDirections(t *testing.T) {
 func TestLinkModifierImposedAndCleared(t *testing.T) {
 	p := DefaultParams()
 	p.ShadowSigmaDB, p.TxVarSigmaDB, p.FadeSigmaDB = 0, 0, 0
-	ch := NewChannel(lineDist(2, 10), nil, p, sim.NewSeedSpace(7))
+	ch := lineChannel(2, 10, p, 7)
 	base := ch.GainDB(0, 1, 0)
 	ch.SetModifier(0, 1, constantLoss(20))
 	if got := ch.GainDB(0, 1, sim.Second); math.Abs(base-20-got) > 1e-9 {
@@ -162,7 +165,7 @@ func (c constantLoss) ExtraLossDB(sim.Time) float64 { return float64(c) }
 
 func TestNoiseDriftRevertsToMean(t *testing.T) {
 	p := DefaultParams()
-	ch := NewChannel(lineDist(2, 10), nil, p, sim.NewSeedSpace(8))
+	ch := lineChannel(2, 10, p, 8)
 	var sum float64
 	n := 2000
 	for i := 0; i < n; i++ {

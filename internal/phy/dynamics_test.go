@@ -1,7 +1,6 @@
 package phy
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -73,7 +72,7 @@ func TestNoiseModifierRaisesFloor(t *testing.T) {
 	p.ShadowSigmaDB, p.TxVarSigmaDB, p.FadeSigmaDB, p.NoiseDriftSigmaDB = 0, 0, 0, 0
 	p.NoiseFigSigmaDB = 0
 	p.NoiseBurstAmpDB = 0
-	ch := NewChannel(lineDist(2, 5), nil, p, sim.NewSeedSpace(1))
+	ch := lineChannel(2, 5, p, 1)
 
 	base := ch.NoiseDBm(1, 0)
 	ch.AddNoiseModifier(1, constLoss(20))
@@ -102,7 +101,7 @@ func TestNoiseModifierDrownsReception(t *testing.T) {
 	p.ShadowSigmaDB, p.TxVarSigmaDB, p.FadeSigmaDB, p.NoiseDriftSigmaDB = 0, 0, 0, 0
 	p.NoiseBurstAmpDB = 0
 	p.PacketJitterSigmaDB = 0
-	ch := NewChannel(lineDist(2, 20), nil, p, sim.NewSeedSpace(4))
+	ch := lineChannel(2, 20, p, 4)
 	m := NewMedium(clock, ch, DefaultRadioParams(), DefaultLQIParams(), sim.NewSeedSpace(4))
 
 	// A windowed 60 dB noise burst at the receiver from 100 ms on.
@@ -142,12 +141,8 @@ func TestSparseCulledLinkImmuneToDynamics(t *testing.T) {
 		tp.Positions = append(tp.Positions, topo.Point{X: 3000 + float64(i)*5})
 	}
 	p := sparseTestParams()
-	p.SparseAboveN = 1
 	seeds := sim.NewSeedSpace(6)
 	ch := PrecomputeGeo(tp, p).NewChannel(seeds)
-	if !ch.Sparse() {
-		t.Fatal("expected sparse representation")
-	}
 	if ch.slotOf(0, 7) >= 0 {
 		t.Fatal("link (0,7) at 3 km unexpectedly audible")
 	}
@@ -186,86 +181,5 @@ func TestSparseCulledLinkImmuneToDynamics(t *testing.T) {
 	ch.SetModifierBoth(0, 7, nil)
 	if ch.linkModCount != 0 {
 		t.Fatalf("linkModCount %d after clearing all modifiers", ch.linkModCount)
-	}
-}
-
-// TestDynamicsSparseDenseIdentical runs the full scripted-dynamics
-// repertoire — interference onset via AddNoiseModifier, a Gilbert–Elliott
-// loss process installed with SetModifier on a live link, and a mid-run
-// node death — over both channel representations and requires
-// byte-identical trajectories. Dynamics must neither resurrect culled
-// links nor perturb the shared random streams differently per
-// representation.
-func TestDynamicsSparseDenseIdentical(t *testing.T) {
-	const n = 200
-	tp := topo.UniformRandom(n, 380, 380, 5)
-	p := sparseTestParams()
-
-	// The scripted link: node 0 and its geometrically nearest neighbor
-	// (identical under both representations, and audible with near
-	// certainty at this density).
-	target, bestD := -1, math.Inf(1)
-	for j := 1; j < n; j++ {
-		if d := tp.Distance(0, j); d < bestD {
-			target, bestD = j, d
-		}
-	}
-
-	run := func(sparseAbove int) (string, MediumStats) {
-		pp := p
-		pp.SparseAboveN = sparseAbove
-		clock := sim.New(77)
-		seeds := sim.NewSeedSpace(77)
-		ch := PrecomputeGeo(tp, pp).NewChannel(seeds)
-		if got, want := ch.Sparse(), sparseAbove > 0; got != want {
-			t.Fatalf("Sparse() = %v, want %v", got, want)
-		}
-		m := NewMedium(clock, ch, DefaultRadioParams(), DefaultLQIParams(), seeds)
-
-		// Scripted dynamics, identical in both runs: a 40 dB bursty loss
-		// on the 0↔target link from 300 ms, interference onset at the
-		// target from 600 ms, and node n/2 dying at 900 ms.
-		ch.SetModifierBoth(0, target, NewGilbertElliott(40, 5*sim.Millisecond, 20*sim.Millisecond,
-			sim.NewRand(501)).Window(300*sim.Millisecond, sim.Hour))
-		ch.AddNoiseModifier(target, NewGilbertElliott(30, 2*sim.Millisecond, 10*sim.Millisecond,
-			sim.NewRand(502)).Window(600*sim.Millisecond, sim.Hour))
-		clock.At(900*sim.Millisecond, func() { m.Radio(n / 2).SetDown(true) })
-
-		var log []byte
-		for i := 0; i < n; i++ {
-			rx := i
-			m.Radio(i).OnReceive(func(data []byte, info RxInfo) {
-				log = append(log, fmt.Sprintf("%d %d %d %x %d\n",
-					rx, data[0], info.At, math.Float64bits(info.SNRdB), info.LQI)...)
-			})
-		}
-		for i := 0; i < n; i++ {
-			id := i
-			frame := make([]byte, 30)
-			frame[0] = byte(id)
-			phase := sim.Time(id) * sim.Millisecond / 6
-			for k := 0; k < 30; k++ {
-				clock.Schedule(sim.Time(k)*50*sim.Millisecond+phase, func() {
-					if !m.Radio(id).Transmitting() && !m.Radio(id).Down() {
-						m.Radio(id).Transmit(frame)
-					}
-				})
-			}
-		}
-		clock.RunUntil(1500 * sim.Millisecond)
-		return string(log), m.Stats
-	}
-
-	logS, statsS := run(1)
-	logD, statsD := run(-1)
-	if statsS != statsD {
-		t.Fatalf("stats diverge under dynamics:\nsparse %+v\ndense  %+v", statsS, statsD)
-	}
-	if logS != logD {
-		t.Fatalf("trajectories diverge under dynamics (sparse %d bytes, dense %d bytes)",
-			len(logS), len(logD))
-	}
-	if statsS.Delivered == 0 {
-		t.Fatalf("degenerate run: %+v", statsS)
 	}
 }

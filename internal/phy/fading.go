@@ -15,7 +15,7 @@ import (
 //
 //	X(t+dt) = X(t)·e^(−dt/τ) + N(0, σ²·(1 − e^(−2dt/τ)))
 //
-// The struct is deliberately 16 bytes: a sparse channel holds one per
+// The struct is deliberately 16 bytes: the channel holds one per
 // stored pair and samples them in data-dependent order, so the array is
 // sized and accessed like a hash table — lastPlus1 packs the "ever
 // sampled" flag into the timestamp (0 = never; otherwise sample time + 1)

@@ -50,7 +50,7 @@ type Medium struct {
 
 	active     []*transmission
 	candidates [][]int32 // per transmitter: receivers within detection range
-	candSlots  [][]int32 // sparse channel only: adjacency slot per candidate
+	candSlots  [][]int32 // per transmitter: channel adjacency slot per candidate
 
 	// Hot-path caches: the radio parameters converted to linear once, the
 	// running interference sum per receiver (maintained incrementally as
@@ -132,33 +132,32 @@ func NewMedium(clock *sim.Simulator, ch *Channel, rp RadioParams, lqip LQIParams
 	// Candidate receivers: static gain at maximum plausible power
 	// (audibleMaxTxPowerDBm) plus a fade margin (audibleFadeMarginDB) must
 	// clear the detection floor. The margin is generous so that fading can
-	// only shrink, never grow, the true receiver set. The channel's
-	// representation supplies the links to filter: the dense path offers
-	// every pair, the sparse one only its stored audible set — which must
-	// therefore floor at or below what this filter could admit, or culling
-	// would change results. The filter expression itself is identical
-	// either way, applied to identical static-gain values.
-	if ch.Sparse() {
-		need := rp.DetectionDBm - audibleMaxTxPowerDBm - audibleFadeMarginDB
-		if floor := ch.AudibleFloorDB(); floor > need-0.25 {
-			panic(fmt.Sprintf("phy: sparse channel floor %.2f dB too high for detection threshold %.2f dBm (needs <= %.2f)",
-				floor, rp.DetectionDBm, need-0.25))
-		}
-		m.candSlots = make([][]int32, n)
+	// only shrink, never grow, the true receiver set. The channel offers
+	// only its stored audible set, which must therefore floor at or below
+	// what this filter could admit, or culling would change results.
+	need := rp.DetectionDBm - audibleMaxTxPowerDBm - audibleFadeMarginDB
+	if audibleFloorDB > need-0.25 {
+		panic(fmt.Sprintf("phy: channel floor %.2f dB too high for detection threshold %.2f dBm (needs <= %.2f)",
+			audibleFloorDB, rp.DetectionDBm, need-0.25))
 	}
+	// Candidates are a subset of the stored links, so one backing array
+	// sized by AudibleLinks holds every candidate list and its slots.
+	links := ch.AudibleLinks()
+	buf := make([]int32, 2*links)
+	cands, slots := buf[:0:links], buf[links:links]
 	m.candidates = make([][]int32, n)
+	m.candSlots = make([][]int32, n)
 	for i := 0; i < n; i++ {
-		ch.ForEachAudible(i, func(j int, slot int32, gainDB float64) {
-			if audibleMaxTxPowerDBm+gainDB+audibleFadeMarginDB >= rp.DetectionDBm {
-				m.candidates[i] = append(m.candidates[i], int32(j))
-				if m.candSlots != nil {
-					m.candSlots[i] = append(m.candSlots[i], slot)
-				}
+		lo := len(cands)
+		for s := ch.adjOff[i]; s < ch.adjOff[i+1]; s++ {
+			if audibleMaxTxPowerDBm+ch.adjGainDB[s]+audibleFadeMarginDB >= rp.DetectionDBm {
+				cands = append(cands, ch.adjNbr[s])
+				slots = append(slots, s)
 			}
-		})
-		if len(m.candidates[i]) > m.powCap {
-			m.powCap = len(m.candidates[i])
 		}
+		m.candidates[i] = cands[lo:len(cands):len(cands)]
+		m.candSlots[i] = slots[lo:len(slots):len(slots)]
+		m.powCap = max(m.powCap, len(cands)-lo)
 	}
 	return m
 }
@@ -300,22 +299,10 @@ func (m *Medium) startTx(r *Radio, data []byte) sim.Time {
 		m.onTransmit(r.id, data)
 	}
 
-	cands := m.candidates[r.id]
-	var slots []int32
-	if m.candSlots != nil {
-		slots = m.candSlots[r.id]
-	}
-	for ci, j32 := range cands {
+	slots := m.candSlots[r.id]
+	for ci, j32 := range m.candidates[r.id] {
 		j := int(j32)
-		// Both branches sample the same per-pair fading process at the same
-		// instant in the same (ascending-j) order; the slot variant only
-		// skips the adjacency row search.
-		var pmw float64
-		if slots != nil {
-			pmw = r.txPowMW * m.ch.gainLinSlot(r.id, j, slots[ci], now)
-		} else {
-			pmw = r.txPowMW * m.ch.GainLin(r.id, j, now)
-		}
+		pmw := r.txPowMW * m.ch.gainLinSlot(r.id, j, slots[ci], now)
 		if pmw < m.detectMW {
 			continue
 		}

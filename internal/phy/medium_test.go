@@ -15,7 +15,7 @@ func testbed(t *testing.T, n int, spacing float64, seed uint64) (*sim.Simulator,
 	p.ShadowSigmaDB, p.TxVarSigmaDB, p.FadeSigmaDB, p.NoiseDriftSigmaDB = 0, 0, 0, 0
 	p.NoiseBurstAmpDB = 0
 	p.PacketJitterSigmaDB = 0
-	ch := NewChannel(lineDist(n, spacing), nil, p, sim.NewSeedSpace(seed))
+	ch := lineChannel(n, spacing, p, seed)
 	m := NewMedium(clock, ch, DefaultRadioParams(), DefaultLQIParams(), sim.NewSeedSpace(seed))
 	return clock, m
 }
@@ -106,7 +106,7 @@ func TestConcurrentSendersCollideAtMidpoint(t *testing.T) {
 	clock := sim.New(5)
 	p := DefaultParams()
 	p.ShadowSigmaDB, p.TxVarSigmaDB, p.FadeSigmaDB, p.NoiseDriftSigmaDB = 0, 0, 0, 0
-	ch := NewChannel(lineDist(3, 10), nil, p, sim.NewSeedSpace(5))
+	ch := lineChannel(3, 10, p, 5)
 	m := NewMedium(clock, ch, DefaultRadioParams(), DefaultLQIParams(), sim.NewSeedSpace(5))
 	delivered := 0
 	m.Radio(1).OnReceive(func([]byte, RxInfo) { delivered++ })
@@ -134,12 +134,7 @@ func TestCaptureStrongerSignalWins(t *testing.T) {
 	p.ShadowSigmaDB, p.TxVarSigmaDB, p.FadeSigmaDB, p.NoiseDriftSigmaDB = 0, 0, 0, 0
 	p.NoiseBurstAmpDB = 0
 	p.PacketJitterSigmaDB = 0
-	dist := [][]float64{
-		{0, 5, 40},
-		{5, 0, 35},
-		{40, 35, 0},
-	}
-	ch := NewChannel(dist, nil, p, sim.NewSeedSpace(6))
+	ch := PrecomputeGeo(axisTopo(0, 5, 40), p).NewChannel(sim.NewSeedSpace(6))
 	m := NewMedium(clock, ch, DefaultRadioParams(), DefaultLQIParams(), sim.NewSeedSpace(6))
 	delivered := 0
 	m.Radio(1).OnReceive(func([]byte, RxInfo) { delivered++ })

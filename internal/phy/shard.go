@@ -211,24 +211,16 @@ func (m *Medium) EnableSharded(clocks []*sim.Simulator, shardOf []int32, epoch s
 			pos[s] = off[s]
 		}
 		newCands := make([]int32, len(cands))
-		var newSlots []int32
-		var slots []int32
-		if m.candSlots != nil {
-			slots = m.candSlots[i]
-			newSlots = make([]int32, len(slots))
-		}
+		slots := m.candSlots[i]
+		newSlots := make([]int32, len(slots))
 		for k, j := range cands {
 			s := shardOf[j]
 			newCands[pos[s]] = j
-			if slots != nil {
-				newSlots[pos[s]] = slots[k]
-			}
+			newSlots[pos[s]] = slots[k]
 			pos[s]++
 		}
 		m.candidates[i] = newCands
-		if m.candSlots != nil {
-			m.candSlots[i] = newSlots
-		}
+		m.candSlots[i] = newSlots
 		sh.candOff[i] = off
 	}
 	sh.applyFn = func(a any) { m.applyHand(a.(*shardHand)) }
@@ -309,19 +301,11 @@ func (m *Medium) applyHand(h *shardHand) {
 	from := int(rec.from)
 	cands := m.candidates[from]
 	off := sh.candOff[from]
-	var slots []int32
-	if m.candSlots != nil {
-		slots = m.candSlots[from]
-	}
+	slots := m.candSlots[from]
 	st := &sh.shards[s]
 	for ci := off[s]; ci < off[s+1]; ci++ {
 		j := int(cands[ci])
-		var pmw float64
-		if slots != nil {
-			pmw = rec.txPowMW * m.ch.gainLinSlot(from, j, slots[ci], rec.start)
-		} else {
-			pmw = rec.txPowMW * m.ch.GainLin(from, j, rec.start)
-		}
+		pmw := rec.txPowMW * m.ch.gainLinSlot(from, j, slots[ci], rec.start)
 		if pmw < m.detectMW {
 			continue
 		}

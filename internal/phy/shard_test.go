@@ -6,21 +6,22 @@ import (
 	"testing"
 
 	"fourbit/internal/sim"
+	"fourbit/internal/topo"
 )
 
 // shardedTestbed builds one clock per shard and a medium in cross-shard
-// handoff mode over dist, with block-contiguous node→shard assignment and
+// handoff mode over tp, with block-contiguous node→shard assignment and
 // all channel randomness except the reception draw disabled. Every shard
 // count is fed from identically-seeded SeedSpaces, so trajectories are
 // comparable bit-for-bit across counts.
-func shardedTestbed(t *testing.T, dist [][]float64, shards int, seed uint64) ([]*sim.Simulator, []int32, *Medium, *sim.ShardGroup) {
+func shardedTestbed(t *testing.T, tp *topo.Topology, shards int, seed uint64) ([]*sim.Simulator, []int32, *Medium, *sim.ShardGroup) {
 	t.Helper()
-	n := len(dist)
+	n := tp.N()
 	p := DefaultParams()
 	p.ShadowSigmaDB, p.TxVarSigmaDB, p.FadeSigmaDB, p.NoiseDriftSigmaDB = 0, 0, 0, 0
 	p.NoiseBurstAmpDB = 0
 	p.PacketJitterSigmaDB = 0
-	ch := NewChannel(dist, nil, p, sim.NewSeedSpace(seed))
+	ch := PrecomputeGeo(tp, p).NewChannel(sim.NewSeedSpace(seed))
 	clocks := make([]*sim.Simulator, shards)
 	for i := range clocks {
 		clocks[i] = sim.New(seed)
@@ -46,7 +47,7 @@ func shardedTestbed(t *testing.T, dist [][]float64, shards int, seed uint64) ([]
 func runShardScript(t *testing.T, shards int) string {
 	t.Helper()
 	const n = 12
-	clocks, shardOf, m, g := shardedTestbed(t, lineDist(n, 5), shards, 7)
+	clocks, shardOf, m, g := shardedTestbed(t, topo.Line(n, 5), shards, 7)
 	defer g.Close()
 
 	logs := make([][]string, n)
@@ -113,13 +114,8 @@ func TestShardCountInvarianceMedium(t *testing.T) {
 // would lock onto the weak frame and then stomp it (CaptureSwitches > 0)
 // — so the stat is a direct witness of the merge order.
 func TestShardHandoffMergeOrder(t *testing.T) {
-	dist := [][]float64{
-		{0, 5, 30},
-		{5, 0, 25},
-		{30, 25, 0},
-	}
 	for _, shards := range []int{1, 3} {
-		clocks, shardOf, m, g := shardedTestbed(t, dist, shards, 3)
+		clocks, shardOf, m, g := shardedTestbed(t, axisTopo(0, 5, 30), shards, 3)
 		var got []string
 		m.Radio(1).OnReceive(func(data []byte, info RxInfo) {
 			got = append(got, fmt.Sprintf("from=%d", data[0]))

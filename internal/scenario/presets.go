@@ -121,10 +121,8 @@ func deathRecoveryPreset() NamedSpec {
 // conditions: a steeper urban path-loss exponent (4.0 — dense construction,
 // so radio horizons stay a few hundred meters and the audible set is
 // genuinely sparse), a short run (the point is scale, not duration), and a
-// compressed boot window so 25% of a run is not spent booting. Above
-// phy.DefaultSparseAboveN nodes the channel automatically selects the
-// sparse audible-set representation; docs/SCENARIOS.md §"City scale"
-// derives the densities.
+// compressed boot window so 25% of a run is not spent booting.
+// docs/SCENARIOS.md §"City scale" derives the densities.
 func cityPreset(name, desc string, tp TopoSpec) NamedSpec {
 	return NamedSpec{
 		Name: name,

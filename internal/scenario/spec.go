@@ -135,13 +135,33 @@ type ChannelSpec struct {
 	NoiseBurstMeanOnMS  *float64 `json:",omitempty"`
 	NoiseBurstMeanOffS  *float64 `json:",omitempty"`
 	PacketJitterSigmaDB *float64 `json:",omitempty"`
-	// SparseAboveN / AudibleFloorDB control the sparse audible-set channel
-	// representation for city-scale networks (see phy.PrecomputeGeo).
-	// Representation choice never changes results; these exist to force a
-	// path (differential tests) or tune the storage floor. nil keeps the
-	// phy defaults (sparse from 512 nodes, floor −125.5 dB).
-	SparseAboveN   *int     `json:",omitempty"`
-	AudibleFloorDB *float64 `json:",omitempty"`
+}
+
+// validate rejects channel overrides the model cannot honor: the
+// audible-set cutoff bound needs path loss to grow with distance, and a
+// spread or time constant must be a finite non-negative number.
+func (c *ChannelSpec) validate() error {
+	if e := c.PathLossExponent; e != nil && !(*e > 0 && !math.IsInf(*e, 1)) {
+		return fmt.Errorf("channel PathLossExponent must be positive and finite, got %v", *e)
+	}
+	for _, f := range []struct {
+		name string
+		v    *float64
+	}{
+		{"ShadowSigmaDB", c.ShadowSigmaDB},
+		{"TxVarSigmaDB", c.TxVarSigmaDB},
+		{"NoiseFigSigmaDB", c.NoiseFigSigmaDB},
+		{"NoiseDriftSigmaDB", c.NoiseDriftSigmaDB},
+		{"NoiseDriftTauS", c.NoiseDriftTauS},
+		{"FadeSigmaDB", c.FadeSigmaDB},
+		{"FadeTauS", c.FadeTauS},
+		{"PacketJitterSigmaDB", c.PacketJitterSigmaDB},
+	} {
+		if f.v != nil && !(*f.v >= 0 && !math.IsInf(*f.v, 1)) {
+			return fmt.Errorf("channel %s must be non-negative and finite, got %v", f.name, *f.v)
+		}
+	}
+	return nil
 }
 
 func (c *ChannelSpec) apply(p *phy.Params) {
@@ -172,10 +192,6 @@ func (c *ChannelSpec) apply(p *phy.Params) {
 	if c.NoiseBurstMeanOffS != nil {
 		p.NoiseBurstMeanOff = sim.FromSeconds(*c.NoiseBurstMeanOffS)
 	}
-	if c.SparseAboveN != nil {
-		p.SparseAboveN = *c.SparseAboveN
-	}
-	set(&p.AudibleFloorDB, c.AudibleFloorDB)
 }
 
 // protocol resolves the protocol name (empty = 4B).
@@ -237,6 +253,11 @@ func (s *Spec) Validate() error {
 		}
 		if p, _ := s.protocol(); p == experiment.ProtoMultiHopLQI {
 			return fmt.Errorf("scenario %q: Estimator does not apply to MultiHopLQI (estimation is inline)", s.Name)
+		}
+	}
+	if s.Channel != nil {
+		if err := s.Channel.validate(); err != nil {
+			return fmt.Errorf("scenario %q: %w", s.Name, err)
 		}
 	}
 	if s.Traffic != nil {

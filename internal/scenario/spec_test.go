@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -38,6 +39,15 @@ func TestSpecValidationErrors(t *testing.T) {
 		{"down without nodes", Spec{Dynamics: []Event{{Kind: "node-down", AtMin: 1}}}, "explicit target"},
 		{"empty window", Spec{Dynamics: []Event{{Kind: "interference", AtMin: 5, UntilMin: 2}}}, "is empty"},
 		{"self link", Spec{Dynamics: []Event{{Kind: "link-burst", LinkA: 3, LinkB: 3}}}, "distinct endpoints"},
+		{"zero exponent", Spec{Channel: &ChannelSpec{PathLossExponent: f64(0)}}, "PathLossExponent"},
+		{"negative exponent", Spec{Channel: &ChannelSpec{PathLossExponent: f64(-2)}}, "PathLossExponent"},
+		{"infinite exponent", Spec{Channel: &ChannelSpec{PathLossExponent: f64(math.Inf(1))}}, "PathLossExponent"},
+		{"NaN exponent", Spec{Channel: &ChannelSpec{PathLossExponent: f64(math.NaN())}}, "PathLossExponent"},
+		{"negative shadowing", Spec{Channel: &ChannelSpec{ShadowSigmaDB: f64(-1)}}, "ShadowSigmaDB"},
+		{"NaN fade sigma", Spec{Channel: &ChannelSpec{FadeSigmaDB: f64(math.NaN())}}, "FadeSigmaDB"},
+		{"infinite jitter", Spec{Channel: &ChannelSpec{PacketJitterSigmaDB: f64(math.Inf(1))}}, "PacketJitterSigmaDB"},
+		{"negative fade tau", Spec{Channel: &ChannelSpec{FadeTauS: f64(-5)}}, "FadeTauS"},
+		{"infinite drift tau", Spec{Channel: &ChannelSpec{NoiseDriftTauS: f64(math.Inf(1))}}, "NoiseDriftTauS"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -107,7 +107,8 @@ func TestFeedFormatsConverge(t *testing.T) {
 }
 
 // TestFeedBackpressureResendsSuffix fills a tiny paused queue, exhausts the
-// retry budget, resumes, and re-flushes: every event must land exactly once.
+// retry budget, resumes, and re-flushes until the buffer drains: every
+// event must land exactly once.
 func TestFeedBackpressureResendsSuffix(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{QueueDepth: 4, RetryAfter: time.Millisecond})
 	if err := client.CreateInstance(nil, ts.URL, "bp", core.KindFourBit, 1, 1, nil); err != nil {
@@ -141,8 +142,25 @@ func TestFeedBackpressureResendsSuffix(t *testing.T) {
 	} else {
 		resp.Body.Close()
 	}
-	if err := feed.Flush(); err != nil {
-		t.Fatalf("flush after resume: %v", err)
+	// The resumed worker drains the queue concurrently, so one Flush can
+	// still exhaust its small retry budget. Flush again until the buffer is
+	// empty: each call resends only the suffix the server has not
+	// accepted, so a retry can never apply an event twice.
+	deadline, ok := t.Deadline()
+	if !ok {
+		deadline = time.Now().Add(time.Minute)
+	}
+	for {
+		err := feed.Flush()
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, client.ErrRetryBudget) || time.Now().After(deadline) {
+			t.Fatalf("flush after resume: %v", err)
+		}
+	}
+	if feed.Buffered() != 0 {
+		t.Fatalf("%d events left buffered after flush", feed.Buffered())
 	}
 
 	// The barrier-synced stats must show every event applied exactly once.

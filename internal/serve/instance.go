@@ -414,6 +414,17 @@ func restoreInstance(snap *InstanceSnapshot, queueDepth int, policy OverflowPoli
 		return nil, fmt.Errorf("%w: instance says %q, estimator snapshot says %q",
 			core.ErrSnapshotKind, snap.Kind, snap.Estimator.Kind)
 	}
+	// The restored queue starts empty, so the counters must say nothing is
+	// pending, or every later barrier would wait for events that never
+	// arrive. A quarantined instance can be snapshotted with events still
+	// queued; the snapshot does not carry them, so they count as discarded.
+	stats := snap.Stats
+	if stats.Applied > stats.Enqueued {
+		return nil, fmt.Errorf("%w: %d events applied but only %d enqueued",
+			core.ErrSnapshotState, stats.Applied, stats.Enqueued)
+	}
+	stats.Quarantined += stats.Enqueued - stats.Applied
+	stats.Applied = stats.Enqueued
 	est, err := core.RestoreKind(snap.Estimator)
 	if err != nil {
 		return nil, err
@@ -423,7 +434,7 @@ func restoreInstance(snap *InstanceSnapshot, queueDepth int, policy OverflowPoli
 		est:    est,
 		queue:  make([]Event, queueDepth),
 		policy: policy,
-		stats:  snap.Stats,
+		stats:  stats,
 		lastAt: snap.LastAt, sawBeacon: snap.SawBeacon, lastSrc: snap.LastSrc, lastSeq: snap.LastSeq,
 		done: make(chan struct{}),
 	}

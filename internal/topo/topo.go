@@ -1,6 +1,6 @@
 // Package topo generates node placements for the simulated testbeds and
-// turns them into the distance / extra-attenuation matrices the channel
-// model consumes.
+// exposes the per-pair distance and extra attenuation the channel model
+// consumes.
 //
 // Two named generators stand in for the paper's physical testbeds (see
 // DESIGN.md §1): Mirage, an 85-node single-floor office in the style of the
@@ -62,8 +62,7 @@ func (t *Topology) Coord(i int) (x, y, z float64) {
 }
 
 // ExtraLossDB returns the static obstruction loss between i and j — floor
-// slabs plus deterministic clutter, exactly the value Matrices places in
-// its extra-loss matrix. It is never negative: obstructions only ever
+// slabs plus deterministic clutter. It is never negative: obstructions only ever
 // attenuate, a property the channel model's audibility culling relies on.
 func (t *Topology) ExtraLossDB(i, j int) float64 {
 	floors := t.Positions[i].Floor - t.Positions[j].Floor
@@ -71,29 +70,6 @@ func (t *Topology) ExtraLossDB(i, j int) float64 {
 		floors = -floors
 	}
 	return float64(floors)*t.FloorLossDB + t.clutter(i, j)
-}
-
-// Matrices returns the pairwise distance matrix and the extra static loss
-// matrix (floor-slab attenuation) for the channel model. Large networks
-// should prefer the per-pair accessors (Distance, ExtraLossDB, Coord) —
-// this materializes O(n²) floats.
-func (t *Topology) Matrices() (dist, extraLossDB [][]float64) {
-	n := t.N()
-	dist = make([][]float64, n)
-	extraLossDB = make([][]float64, n)
-	for i := 0; i < n; i++ {
-		dist[i] = make([]float64, n)
-		extraLossDB[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d := t.Distance(i, j)
-			dist[i][j], dist[j][i] = d, d
-			loss := t.ExtraLossDB(i, j)
-			extraLossDB[i][j], extraLossDB[j][i] = loss, loss
-		}
-	}
-	return dist, extraLossDB
 }
 
 // clutter returns the pair's deterministic obstruction loss in [0, ClutterDB].

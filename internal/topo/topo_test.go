@@ -33,19 +33,18 @@ func TestGridShape(t *testing.T) {
 	}
 }
 
+// TestMatricesSymmetricZeroDiagonal pins the pairwise distance and
+// extra-loss matrices the per-pair accessors define: both symmetric, the
+// distance zero on the diagonal.
 func TestMatricesSymmetricZeroDiagonal(t *testing.T) {
 	for _, tp := range []*Topology{Mirage(1), TutorNet(1), Grid(4, 4, 6), UniformRandom(30, 50, 30, 3)} {
-		dist, extra := tp.Matrices()
 		n := tp.N()
-		if len(dist) != n || len(extra) != n {
-			t.Fatalf("%s: matrix size mismatch", tp.Name)
-		}
 		for i := 0; i < n; i++ {
-			if dist[i][i] != 0 || extra[i][i] != 0 {
+			if tp.Distance(i, i) != 0 {
 				t.Fatalf("%s: nonzero diagonal at %d", tp.Name, i)
 			}
 			for j := 0; j < n; j++ {
-				if dist[i][j] != dist[j][i] || extra[i][j] != extra[j][i] {
+				if tp.Distance(i, j) != tp.Distance(j, i) || tp.ExtraLossDB(i, j) != tp.ExtraLossDB(j, i) {
 					t.Fatalf("%s: asymmetric at (%d,%d)", tp.Name, i, j)
 				}
 			}
@@ -105,11 +104,10 @@ func TestTutorNetShape(t *testing.T) {
 
 func TestTutorNetFloorLossInMatrix(t *testing.T) {
 	tn := TutorNet(8)
-	_, extra := tn.Matrices()
 	// Same-floor pairs carry only clutter (0..ClutterDB); cross-floor
 	// pairs carry the slab loss on top.
 	for i := 1; i < tn.N(); i++ {
-		loss := extra[0][i]
+		loss := tn.ExtraLossDB(0, i)
 		if tn.Positions[i].Floor == tn.Positions[0].Floor {
 			if loss < 0 || loss > tn.ClutterDB {
 				t.Fatalf("same-floor loss to %d = %v, want within [0, %v]", i, loss, tn.ClutterDB)
@@ -122,21 +120,18 @@ func TestTutorNetFloorLossInMatrix(t *testing.T) {
 
 func TestClutterDeterministicAndBounded(t *testing.T) {
 	a, b := TutorNet(9), TutorNet(9)
-	_, ea := a.Matrices()
-	_, eb := b.Matrices()
 	for i := 0; i < a.N(); i++ {
 		for j := 0; j < a.N(); j++ {
-			if ea[i][j] != eb[i][j] {
+			if a.ExtraLossDB(i, j) != b.ExtraLossDB(i, j) {
 				t.Fatalf("clutter differs across identical builds at (%d,%d)", i, j)
 			}
 		}
 	}
 	c := TutorNet(10)
-	_, ec := c.Matrices()
 	same := true
 	for i := 0; i < a.N() && same; i++ {
 		for j := 0; j < a.N(); j++ {
-			if ea[i][j] != ec[i][j] {
+			if a.ExtraLossDB(i, j) != c.ExtraLossDB(i, j) {
 				same = false
 				break
 			}

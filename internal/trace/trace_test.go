@@ -8,6 +8,7 @@ import (
 	"fourbit/internal/packet"
 	"fourbit/internal/phy"
 	"fourbit/internal/sim"
+	"fourbit/internal/topo"
 )
 
 // beaconNet builds a 2-node medium where node 0 broadcasts periodically.
@@ -17,9 +18,8 @@ func beaconNet(seed uint64, spacing float64) (*sim.Simulator, *phy.Medium) {
 	p.ShadowSigmaDB, p.TxVarSigmaDB, p.FadeSigmaDB, p.NoiseDriftSigmaDB = 0, 0, 0, 0
 	p.NoiseBurstAmpDB = 0
 	p.PacketJitterSigmaDB = 0
-	dist := [][]float64{{0, spacing}, {spacing, 0}}
 	seeds := sim.NewSeedSpace(seed)
-	ch := phy.NewChannel(dist, nil, p, seeds)
+	ch := phy.PrecomputeGeo(topo.Line(2, spacing), p).NewChannel(seeds)
 	m := phy.NewMedium(clock, ch, phy.DefaultRadioParams(), phy.DefaultLQIParams(), seeds)
 	return clock, m
 }
