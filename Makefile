@@ -48,15 +48,18 @@ golden:
 	$(GO) test ./internal/scenario -run TestGoldenTimelineFigure -update-goldens
 
 # fuzz-smoke runs each native fuzz target briefly against the saved seed
-# corpus plus a few seconds of new inputs — a tripwire for decoder
-# regressions (panics, untyped errors, scratch aliasing), not a deep
-# campaign. Longer runs: go test -fuzz FuzzDecodeEvent ./internal/serve/wire
+# corpus plus a few seconds of new inputs — a tripwire for decoder and
+# parser regressions (panics, untyped errors, scratch aliasing, specs that
+# do not survive a JSON round trip), not a deep campaign. Longer runs:
+# go test -fuzz FuzzDecodeEvent ./internal/serve/wire
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/packet
 	$(GO) test -run '^$$' -fuzz FuzzDecodeLEFrame -fuzztime 5s ./internal/packet
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEvent -fuzztime 5s ./internal/serve/wire
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWireBatch -fuzztime 5s ./internal/serve/wire
 	$(GO) test -run '^$$' -fuzz FuzzRestoreSnapshot -fuzztime 5s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 5s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz FuzzParseSweep -fuzztime 5s ./internal/scenario
 
 # serve-soak is the long-haul chaos run: 8 instances (2 per estimator
 # kind) under sustained randomized ingest with concurrent queriers, one

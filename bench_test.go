@@ -18,11 +18,17 @@ import (
 	"fourbit/internal/node"
 	"fourbit/internal/packet"
 	"fourbit/internal/phy"
+	"fourbit/internal/scenario"
 	"fourbit/internal/sim"
 	"fourbit/internal/topo"
 )
 
-const benchMinutes = 6 * sim.Minute
+// benchRunMinutes is every figure and ablation bench's simulated run
+// length; the figure benches take it in the scenario runners' minutes.
+const (
+	benchRunMinutes = 6
+	benchMinutes    = benchRunMinutes * sim.Minute
+)
 
 // skipInShort gates the multi-second figure and ablation benches out of
 // short mode, leaving a fast smoke — BenchmarkSimulatedMinuteCTP plus the
@@ -45,7 +51,7 @@ func reportRun(b *testing.B, res *experiment.Result, prefix string) {
 func BenchmarkFig2RoutingTrees(b *testing.B) {
 	skipInShort(b)
 	for i := 0; i < b.N; i++ {
-		r := experiment.RunFig2(1, benchMinutes)
+		r := scenario.RunFig2(1, benchRunMinutes, experiment.DefaultWorkers())
 		reportRun(b, r.Runs[0], "ctp_")
 		reportRun(b, r.Runs[1], "lqi_")
 		reportRun(b, r.Runs[2], "unlimited_")
@@ -77,7 +83,7 @@ func BenchmarkFig3LQIBlindspot(b *testing.B) {
 func BenchmarkFig6DesignSpace(b *testing.B) {
 	skipInShort(b)
 	for i := 0; i < b.N; i++ {
-		r := experiment.RunFig6(1, benchMinutes)
+		r := scenario.RunFig6(1, benchRunMinutes, experiment.DefaultWorkers())
 		for _, res := range r.Runs {
 			reportRun(b, res, res.Protocol.String()+"_")
 		}
@@ -92,7 +98,7 @@ func BenchmarkFig6DesignSpace(b *testing.B) {
 func BenchmarkFig6DesignSpaceSerial(b *testing.B) {
 	skipInShort(b)
 	for i := 0; i < b.N; i++ {
-		experiment.RunFig6Workers(1, benchMinutes, 1)
+		scenario.RunFig6(1, benchRunMinutes, 1)
 	}
 }
 
@@ -101,7 +107,7 @@ func BenchmarkFig6DesignSpaceSerial(b *testing.B) {
 func BenchmarkFig7PowerSweep(b *testing.B) {
 	skipInShort(b)
 	for i := 0; i < b.N; i++ {
-		r := experiment.RunPowerSweep(1, benchMinutes)
+		r := scenario.RunPowerSweep(1, benchRunMinutes, experiment.DefaultWorkers())
 		for j, pw := range r.Powers {
 			b.ReportMetric(r.FB[j].Cost, "4B_cost_"+powerLabel(pw))
 			b.ReportMetric(r.LQI[j].Cost, "LQI_cost_"+powerLabel(pw))
@@ -114,7 +120,7 @@ func BenchmarkFig7PowerSweep(b *testing.B) {
 func BenchmarkFig8DeliveryDistribution(b *testing.B) {
 	skipInShort(b)
 	for i := 0; i < b.N; i++ {
-		r := experiment.RunPowerSweep(1, benchMinutes)
+		r := scenario.RunPowerSweep(1, benchRunMinutes, experiment.DefaultWorkers())
 		last := len(r.Powers) - 1
 		b.ReportMetric(minOf(r.FB[last].PerNodeDelivery)*100, "4B_worstnode%_-20dBm")
 		b.ReportMetric(minOf(r.LQI[last].PerNodeDelivery)*100, "LQI_worstnode%_-20dBm")
@@ -128,7 +134,7 @@ func BenchmarkFig8DeliveryDistribution(b *testing.B) {
 func BenchmarkEstimatorComparison(b *testing.B) {
 	skipInShort(b)
 	for i := 0; i < b.N; i++ {
-		r := experiment.RunEstCompare(1, benchMinutes)
+		r := scenario.RunEstCompare(1, benchRunMinutes, experiment.DefaultWorkers())
 		for _, res := range r.Runs {
 			reportRun(b, res, string(res.Estimator)+"_")
 		}
@@ -139,7 +145,7 @@ func BenchmarkEstimatorComparison(b *testing.B) {
 func BenchmarkHeadline(b *testing.B) {
 	skipInShort(b)
 	for i := 0; i < b.N; i++ {
-		r := experiment.RunHeadline(1, benchMinutes)
+		r := scenario.RunHeadline(1, benchRunMinutes, experiment.DefaultWorkers())
 		for j, name := range r.Testbeds {
 			if r.LQI[j].Cost > 0 {
 				gain := 100 * (r.LQI[j].Cost - r.FB[j].Cost) / r.LQI[j].Cost

@@ -90,6 +90,10 @@ func TestCLIErrorContract(t *testing.T) {
 			wantErr: []string{"not-an-address"},
 		},
 		{
+			name: "replicate estimator on MultiHopLQI", args: []string{"replicate", "-proto", "MultiHopLQI", "-estimator", "wmewma"}, wantCode: 2,
+			wantErr: []string{"Estimator does not apply to MultiHopLQI"},
+		},
+		{
 			name: "scenario list succeeds", args: []string{"scenario", "-list"}, wantCode: 0,
 			wantOut: []string{"built-in scenario presets:"},
 		},

@@ -42,11 +42,9 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"fourbit/internal/core"
 	"fourbit/internal/experiment"
 	"fourbit/internal/scenario"
 	"fourbit/internal/sim"
-	"fourbit/internal/topo"
 )
 
 func main() {
@@ -69,64 +67,54 @@ func main() {
 // profiles) cannot drift between subcommands.
 func subcommands() map[string]func([]string) {
 	return map[string]func([]string){
-		"fig2": func(args []string) {
-			c := newCommonFlags("fig2")
-			minutes := c.minutes()
-			defer c.parse(args)()
-			scenario.RunFig2(*c.seed, *minutes, *c.workers).Fprint(os.Stdout)
-		},
+		"fig2": figure("fig2", func(seed uint64, minutes float64, workers int) {
+			scenario.RunFig2(seed, minutes, workers).Fprint(os.Stdout)
+		}),
 		"fig3": runFig3,
-		"fig6": func(args []string) {
-			c := newCommonFlags("fig6")
-			minutes := c.minutes()
-			defer c.parse(args)()
-			scenario.RunFig6(*c.seed, *minutes, *c.workers).Fprint(os.Stdout)
-		},
-		"fig7": func(args []string) {
-			c := newCommonFlags("fig7")
-			minutes := c.minutes()
-			defer c.parse(args)()
-			scenario.RunPowerSweep(*c.seed, *minutes, *c.workers).FprintFig7(os.Stdout)
-		},
-		"fig8": func(args []string) {
-			c := newCommonFlags("fig8")
-			minutes := c.minutes()
-			defer c.parse(args)()
-			scenario.RunPowerSweep(*c.seed, *minutes, *c.workers).FprintFig8(os.Stdout)
-		},
-		"headline": func(args []string) {
-			c := newCommonFlags("headline")
-			minutes := c.minutes()
-			defer c.parse(args)()
-			scenario.RunHeadline(*c.seed, *minutes, *c.workers).Fprint(os.Stdout)
-		},
-		"compare": func(args []string) {
-			c := newCommonFlags("compare")
-			minutes := c.minutes()
-			defer c.parse(args)()
-			scenario.RunEstCompare(*c.seed, *minutes, *c.workers).Fprint(os.Stdout)
-		},
+		"fig6": figure("fig6", func(seed uint64, minutes float64, workers int) {
+			scenario.RunFig6(seed, minutes, workers).Fprint(os.Stdout)
+		}),
+		"fig7": figure("fig7", func(seed uint64, minutes float64, workers int) {
+			scenario.RunPowerSweep(seed, minutes, workers).FprintFig7(os.Stdout)
+		}),
+		"fig8": figure("fig8", func(seed uint64, minutes float64, workers int) {
+			scenario.RunPowerSweep(seed, minutes, workers).FprintFig8(os.Stdout)
+		}),
+		"headline": figure("headline", func(seed uint64, minutes float64, workers int) {
+			scenario.RunHeadline(seed, minutes, workers).Fprint(os.Stdout)
+		}),
+		"compare": figure("compare", func(seed uint64, minutes float64, workers int) {
+			scenario.RunEstCompare(seed, minutes, workers).Fprint(os.Stdout)
+		}),
 		"timeline":  runTimeline,
 		"replicate": runReplicate,
 		"scenario":  runScenario,
 		"sweep":     runSweep,
 		"serve":     runServe,
 		"feedconv":  runFeedconv,
-		"all": func(args []string) {
-			c := newCommonFlags("all")
-			minutes := c.minutes()
-			defer c.parse(args)()
-			scenario.RunFig2(*c.seed, *minutes, *c.workers).Fprint(os.Stdout)
+		"all": figure("all", func(seed uint64, minutes float64, workers int) {
+			scenario.RunFig2(seed, minutes, workers).Fprint(os.Stdout)
 			fmt.Println()
-			scenario.RunFig6(*c.seed, *minutes, *c.workers).Fprint(os.Stdout)
+			scenario.RunFig6(seed, minutes, workers).Fprint(os.Stdout)
 			fmt.Println()
-			sweep := scenario.RunPowerSweep(*c.seed, *minutes, *c.workers)
+			sweep := scenario.RunPowerSweep(seed, minutes, workers)
 			sweep.FprintFig7(os.Stdout)
 			fmt.Println()
 			sweep.FprintFig8(os.Stdout)
 			fmt.Println()
-			scenario.RunHeadline(*c.seed, *minutes, *c.workers).Fprint(os.Stdout)
-		},
+			scenario.RunHeadline(seed, minutes, workers).Fprint(os.Stdout)
+		}),
+	}
+}
+
+// figure makes a figure subcommand: the common flags plus -minutes, then
+// render runs the figure at the parsed seed, duration and worker count.
+func figure(name string, render func(seed uint64, minutes float64, workers int)) func([]string) {
+	return func(args []string) {
+		c := newCommonFlags(name)
+		minutes := c.minutes()
+		defer c.parse(args)()
+		render(*c.seed, *minutes, *c.workers)
 	}
 }
 
@@ -269,22 +257,18 @@ func runReplicate(args []string) {
 	power := c.fs.Float64("power", 0, "transmit power (dBm)")
 	nSeeds := c.fs.Int("seeds", 5, "number of independent seeds")
 	defer c.parse(args)()
-	p, err := experiment.ParseProtocol(*proto)
+	spec := scenario.Spec{
+		Name:        "replicate",
+		Protocol:    *proto,
+		Estimator:   *estimator,
+		Topology:    scenario.TopoSpec{Kind: "mirage"},
+		Seed:        *c.seed,
+		TxPowerDBm:  *power,
+		DurationMin: *minutes,
+	}
+	rc, err := spec.RunConfig()
 	if err != nil {
 		fatal(err)
-	}
-	rc := experiment.DefaultRunConfig(p, topo.Mirage(*c.seed), *c.seed)
-	rc.TxPowerDBm = *power
-	rc.Duration = sim.FromSeconds(*minutes * 60)
-	if *estimator != "" {
-		if p == experiment.ProtoMultiHopLQI {
-			fatal(fmt.Errorf("-estimator does not apply to MultiHopLQI (estimation is inline)"))
-		}
-		kind, err := core.ParseEstimatorKind(*estimator)
-		if err != nil {
-			fatal(err)
-		}
-		rc.Estimator = kind
 	}
 	experiment.ReplicateWorkers(rc, *nSeeds, *c.workers).Fprint(os.Stdout)
 }
@@ -473,7 +457,7 @@ subcommands:
             binary batches), table/cost queries, snapshot/restore, drain
   feedconv  convert recorded estimator feeds between JSONL and the binary
             batch format, or replay feeds of either format into a server
-  all       everything except fig3
+  all       fig2, fig6, fig7, fig8 and headline, in that order
 
 common flags:
   -seed N       master seed (replica and sweep seeds derive from it; default 1)

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"fourbit/internal/core"
-	"fourbit/internal/sim"
 	"fourbit/internal/topo"
 )
 
@@ -18,62 +17,11 @@ import (
 // four-bit below the beacon-only and LQI estimators.
 // ---------------------------------------------------------------------------
 
-// EstCompareKinds is the estimator axis of the comparison, in display
-// order.
-var EstCompareKinds = []core.EstimatorKind{
-	core.KindFourBit, core.KindWMEWMA, core.KindPDR, core.KindLQI,
-}
-
-// estCompare pins the comparison testbed: the default grid topology
-// (8 x 8 nodes at the generator's standard 6 m spacing, root in a corner)
-// at reduced transmit power, so routes are several hops long and the grey
-// region — where estimator quality decides cost — covers many links.
-const (
-	estCompareRows     = 8
-	estCompareCols     = 8
-	estCompareSpacingM = 6
-	estComparePowerDBm = -12.5
-)
-
-// EstCompareTopo builds the comparison grid.
-func EstCompareTopo() *topo.Topology {
-	return topo.Grid(estCompareRows, estCompareCols, estCompareSpacingM)
-}
-
-// EstComparePower is the transmit power the comparison runs at.
-func EstComparePower() float64 { return estComparePowerDBm }
-
-// EstCompareBatch builds the declarative run batch behind the comparison:
-// one CTP run per estimator kind on the default grid.
-func EstCompareBatch(seed uint64, duration sim.Time) []RunConfig {
-	tp := EstCompareTopo()
-	var rcs []RunConfig
-	for _, k := range EstCompareKinds {
-		rc := DefaultRunConfig(Proto4B, tp, seed)
-		rc.Estimator = k
-		rc.TxPowerDBm = estComparePowerDBm
-		rc.Duration = duration
-		rcs = append(rcs, rc)
-	}
-	return rcs
-}
-
-// EstCompareResult holds the per-estimator runs, ordered as
-// EstCompareKinds.
+// EstCompareResult holds the per-estimator runs, in the comparison's kind
+// order (scenario.EstCompareKinds).
 type EstCompareResult struct {
 	Topo *topo.Topology
 	Runs []*Result
-}
-
-// RunEstCompare executes the comparison on the default worker pool.
-func RunEstCompare(seed uint64, duration sim.Time) *EstCompareResult {
-	return RunEstCompareWorkers(seed, duration, DefaultWorkers())
-}
-
-// RunEstCompareWorkers is RunEstCompare on an explicit worker count.
-func RunEstCompareWorkers(seed uint64, duration sim.Time, workers int) *EstCompareResult {
-	rcs := EstCompareBatch(seed, duration)
-	return &EstCompareResult{Topo: rcs[0].Topo, Runs: RunAllWorkers(rcs, workers)}
 }
 
 // ByKind returns the run for an estimator kind, or nil.
@@ -92,7 +40,7 @@ func (r *EstCompareResult) ByKind(k core.EstimatorKind) *Result {
 // fewer beacon windows than four-bit but reacts at beacon cadence).
 func (r *EstCompareResult) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "Estimator comparison: CTP on %s at %.1f dBm (router fixed, estimator swapped)\n",
-		r.Topo.Name, estComparePowerDBm)
+		r.Topo.Name, r.Runs[0].TxPowerDBm)
 	fmt.Fprintf(w, "%-8s %8s %8s %10s %12s %12s %12s\n",
 		"est", "cost", "depth", "delivery", "beacon-wins", "unicast-wins", "replaced")
 	for _, res := range r.Runs {

@@ -6,74 +6,21 @@ import (
 	"testing"
 
 	"fourbit/internal/core"
+	"fourbit/internal/topo"
 )
-
-// TestEstCompareOrderings asserts the comparison workload's reproduction
-// target — the paper's central claim restated over one fixed router: the
-// four-bit hybrid beats both the beacon-only (WMEWMA/ETX) estimator and
-// pure-LQI estimation on delivery cost, on the default grid.
-func TestEstCompareOrderings(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run simulation")
-	}
-	r := RunEstCompare(1, testMinutes)
-	if len(r.Runs) != len(EstCompareKinds) {
-		t.Fatalf("runs = %d, want %d", len(r.Runs), len(EstCompareKinds))
-	}
-	get := func(k core.EstimatorKind) *Result {
-		res := r.ByKind(k)
-		if res == nil {
-			t.Fatalf("missing %s run", k)
-		}
-		return res
-	}
-	fb := get(core.KindFourBit)
-	wmewma := get(core.KindWMEWMA)
-	lqi := get(core.KindLQI)
-	pdr := get(core.KindPDR)
-
-	if !(fb.Cost < wmewma.Cost) {
-		t.Errorf("cost ordering: 4bit %.2f should beat wmewma %.2f", fb.Cost, wmewma.Cost)
-	}
-	if !(fb.Cost < lqi.Cost) {
-		t.Errorf("cost ordering: 4bit %.2f should beat lqi %.2f", fb.Cost, lqi.Cost)
-	}
-	if !(fb.Cost < pdr.Cost) {
-		t.Errorf("cost ordering: 4bit %.2f should beat pdr %.2f", fb.Cost, pdr.Cost)
-	}
-	// Delivery, the paper's other headline: the hybrid should also deliver
-	// at least as reliably as the physical-layer-only estimator.
-	if !(fb.DeliveryRatio > lqi.DeliveryRatio) {
-		t.Errorf("delivery: 4bit %.3f should exceed lqi %.3f", fb.DeliveryRatio, lqi.DeliveryRatio)
-	}
-	// Counter sanity: only the hybrid consumes the ack bit; every kind
-	// processes beacons.
-	if fb.EstUnicastWin == 0 {
-		t.Error("4bit completed no unicast windows")
-	}
-	for _, k := range []core.EstimatorKind{core.KindWMEWMA, core.KindPDR, core.KindLQI} {
-		res := get(k)
-		if res.EstUnicastWin != 0 {
-			t.Errorf("%s completed %d unicast windows, want 0", k, res.EstUnicastWin)
-		}
-		if res.EstBeaconsIn == 0 {
-			t.Errorf("%s processed no beacons", k)
-		}
-	}
-}
 
 // TestEstCompareRendering smoke-checks the figure output shape without
 // running a simulation.
 func TestEstCompareRendering(t *testing.T) {
-	r := &EstCompareResult{Topo: EstCompareTopo(), Runs: []*Result{
-		{Estimator: core.KindFourBit, Cost: 2, MeanDepth: 2.5, DeliveryRatio: 0.99},
-		{Estimator: core.KindWMEWMA, Cost: 4, MeanDepth: 2.6, DeliveryRatio: 0.93},
-		{Estimator: core.KindLQI, Cost: 6, MeanDepth: 2.7, DeliveryRatio: 0.88},
+	r := &EstCompareResult{Topo: topo.Grid(8, 8, 6), Runs: []*Result{
+		{Estimator: core.KindFourBit, TxPowerDBm: -12.5, Cost: 2, MeanDepth: 2.5, DeliveryRatio: 0.99},
+		{Estimator: core.KindWMEWMA, TxPowerDBm: -12.5, Cost: 4, MeanDepth: 2.6, DeliveryRatio: 0.93},
+		{Estimator: core.KindLQI, TxPowerDBm: -12.5, Cost: 6, MeanDepth: 2.7, DeliveryRatio: 0.88},
 	}}
 	var b bytes.Buffer
 	r.Fprint(&b)
 	out := b.String()
-	for _, want := range []string{"grid-8x8", "4bit", "wmewma", "lqi", "4bit cost vs wmewma: -50%", "4bit cost vs lqi: -67%"} {
+	for _, want := range []string{"grid-8x8", "at -12.5 dBm", "4bit", "wmewma", "lqi", "4bit cost vs wmewma: -50%", "4bit cost vs lqi: -67%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendering missing %q:\n%s", want, out)
 		}

@@ -9,144 +9,6 @@ import (
 	"fourbit/internal/topo"
 )
 
-// The harness tests run compressed versions of each figure and assert the
-// paper's qualitative findings — the orderings and directions, not the
-// absolute values. They are the repository's regression net for the
-// reproduction itself. Durations are chosen as the shortest that give
-// stable orderings; `go test` stays interactive, the full-scale runs live
-// in the fourbitsim CLI.
-
-const testMinutes = 6 * sim.Minute
-
-func TestFig2Orderings(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run simulation")
-	}
-	r := RunFig2(1, testMinutes)
-	ctp, lqi, unlimited := r.Runs[0], r.Runs[1], r.Runs[2]
-	if ctp.Protocol != ProtoCTP || lqi.Protocol != ProtoMultiHopLQI || unlimited.Protocol != ProtoCTPUnlimited {
-		t.Fatal("run order wrong")
-	}
-	// Paper Figure 2's core claim: the 10-entry link table inflates CTP's
-	// cost well above both alternatives (paper: 3.14 vs 2.28 and 1.86).
-	// The relative order of MultiHopLQI and CTP-unlimited varies with the
-	// channel realization here; the restricted-table penalty is the robust
-	// effect.
-	if !(ctp.Cost > lqi.Cost) {
-		t.Errorf("cost ordering: CTP %.2f should exceed MultiHopLQI %.2f", ctp.Cost, lqi.Cost)
-	}
-	if !(ctp.Cost > unlimited.Cost) {
-		t.Errorf("cost ordering: CTP %.2f should exceed CTP-unlimited %.2f", ctp.Cost, unlimited.Cost)
-	}
-	// The restricted table produces deeper trees than the unrestricted one.
-	if !(ctp.MeanDepth > unlimited.MeanDepth) {
-		t.Errorf("depth: CTP(10) %.2f should exceed CTP(unlimited) %.2f", ctp.MeanDepth, unlimited.MeanDepth)
-	}
-}
-
-func TestFig6Orderings(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run simulation")
-	}
-	r := RunFig6(1, testMinutes)
-	get := func(p Protocol) *Result {
-		res := r.byProto(p)
-		if res == nil {
-			t.Fatalf("missing %v run", p)
-		}
-		return res
-	}
-	ctp := get(ProtoCTP)
-	fb := get(Proto4B)
-	lqi := get(ProtoMultiHopLQI)
-	unidir := get(ProtoCTPUnidir)
-	white := get(ProtoCTPWhite)
-
-	// Adding bits to CTP reduces cost (paper: ack bit -31%, white -15%,
-	// all bits -45%).
-	if !(fb.Cost < ctp.Cost) {
-		t.Errorf("4B cost %.2f should be below CTP %.2f", fb.Cost, ctp.Cost)
-	}
-	if !(unidir.Cost < ctp.Cost) {
-		t.Errorf("CTP+unidir cost %.2f should be below CTP %.2f", unidir.Cost, ctp.Cost)
-	}
-	// The white/compare bits alone are the weakest addition (paper: -15%);
-	// at this compressed duration allow the transient some slack.
-	if !(white.Cost < ctp.Cost*1.15) {
-		t.Errorf("CTP+white cost %.2f should not exceed CTP %.2f by >15%%", white.Cost, ctp.Cost)
-	}
-	// 4B beats the MultiHopLQI baseline.
-	if !(fb.Cost < lqi.Cost) {
-		t.Errorf("4B cost %.2f should be below MultiHopLQI %.2f", fb.Cost, lqi.Cost)
-	}
-	// And everyone delivers; 4B near-perfectly (paper: 99.9%).
-	if fb.DeliveryRatio < 0.98 {
-		t.Errorf("4B delivery %.3f < 0.98", fb.DeliveryRatio)
-	}
-	if ctp.DeliveryRatio < 0.85 {
-		t.Errorf("CTP delivery %.3f < 0.85", ctp.DeliveryRatio)
-	}
-}
-
-func TestFig7PowerTrends(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run simulation")
-	}
-	r := RunPowerSweep(1, testMinutes)
-	// Cost and depth increase as power decreases, for both protocols.
-	for i := 1; i < len(r.Powers); i++ {
-		if !(r.FB[i].Cost > r.FB[i-1].Cost) {
-			t.Errorf("4B cost not increasing: %.2f -> %.2f at %v dBm",
-				r.FB[i-1].Cost, r.FB[i].Cost, r.Powers[i])
-		}
-		if !(r.LQI[i].Cost > r.LQI[i-1].Cost) {
-			t.Errorf("LQI cost not increasing at %v dBm", r.Powers[i])
-		}
-		if !(r.FB[i].MeanDepth > r.FB[i-1].MeanDepth) {
-			t.Errorf("4B depth not increasing at %v dBm", r.Powers[i])
-		}
-	}
-	// 4B is cheaper at every power (paper: 11..29% improvement).
-	for i, pw := range r.Powers {
-		if !(r.FB[i].Cost < r.LQI[i].Cost) {
-			t.Errorf("at %v dBm 4B cost %.2f !< MultiHopLQI %.2f", pw, r.FB[i].Cost, r.LQI[i].Cost)
-		}
-	}
-}
-
-func TestFig8DeliveryDistributions(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run simulation")
-	}
-	r := RunPowerSweep(1, testMinutes)
-	last := len(r.Powers) - 1 // -20 dBm
-	fbWorst := minOf(r.FB[last].PerNodeDelivery)
-	lqiWorst := minOf(r.LQI[last].PerNodeDelivery)
-	// Paper Figure 8: 4B maintains high, tight distributions; MultiHopLQI
-	// grows a long low tail as power falls. (The compressed duration here
-	// includes the route-formation transient, so the bound is looser than
-	// the paper-scale >= 0.97.)
-	if fbWorst < 0.75 {
-		t.Errorf("4B worst node at -20 dBm = %.3f, want >= 0.75", fbWorst)
-	}
-	if !(lqiWorst < fbWorst) {
-		t.Errorf("MultiHopLQI worst node %.3f should be below 4B's %.3f", lqiWorst, fbWorst)
-	}
-	if r.FB[last].DeliveryRatio < 0.97 {
-		t.Errorf("4B mean delivery at -20 dBm = %.3f", r.FB[last].DeliveryRatio)
-	}
-}
-
-func minOf(v []float64) float64 {
-	m := v[0]
-	for _, x := range v[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 func TestFig3Phenomenon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation")
@@ -172,25 +34,6 @@ func TestFig3Phenomenon(t *testing.T) {
 	if !(res.UnackedRateDuring > 5*res.UnackedRateBefore+10) {
 		t.Errorf("unacked ramp %.1f/h -> %.1f/h not sharp",
 			res.UnackedRateBefore, res.UnackedRateDuring)
-	}
-}
-
-func TestHeadlineDirections(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run simulation")
-	}
-	r := RunHeadline(1, testMinutes)
-	for i, name := range r.Testbeds {
-		if !(r.FB[i].Cost < r.LQI[i].Cost) {
-			t.Errorf("%s: 4B cost %.2f !< MultiHopLQI %.2f", name, r.FB[i].Cost, r.LQI[i].Cost)
-		}
-		if !(r.FB[i].DeliveryRatio > r.LQI[i].DeliveryRatio-0.001) {
-			t.Errorf("%s: 4B delivery %.3f not above MultiHopLQI %.3f",
-				name, r.FB[i].DeliveryRatio, r.LQI[i].DeliveryRatio)
-		}
-		if r.FB[i].DeliveryRatio < 0.98 {
-			t.Errorf("%s: 4B delivery %.3f below 0.98", name, r.FB[i].DeliveryRatio)
-		}
 	}
 }
 

@@ -5,9 +5,13 @@ import (
 	"io"
 
 	"fourbit/internal/metrics"
-	"fourbit/internal/sim"
 	"fourbit/internal/topo"
 )
+
+// The result types and renderers of the paper's figures. Each figure's run
+// batch is defined once, as scenario specs (internal/scenario, Fig2Specs
+// and friends); the scenario runners execute a batch on the worker pool
+// and hand the results to the types below, which regroup and render them.
 
 // ---------------------------------------------------------------------------
 // Figure 2: routing trees and cost on the 85-node testbed for CTP (10-entry
@@ -20,30 +24,6 @@ import (
 type Fig2Result struct {
 	Topo *topo.Topology
 	Runs []*Result // CTP, MultiHopLQI, CTP-unlimited
-}
-
-// RunFig2 executes the three Figure 2 runs on the default worker pool.
-func RunFig2(seed uint64, duration sim.Time) *Fig2Result {
-	return RunFig2Workers(seed, duration, DefaultWorkers())
-}
-
-// Fig2Batch builds the declarative run batch behind Figure 2: CTP,
-// MultiHopLQI and CTP-unlimited on Mirage at 0 dBm.
-func Fig2Batch(seed uint64, duration sim.Time) []RunConfig {
-	tp := topo.Mirage(seed)
-	var rcs []RunConfig
-	for _, p := range []Protocol{ProtoCTP, ProtoMultiHopLQI, ProtoCTPUnlimited} {
-		rc := DefaultRunConfig(p, tp, seed)
-		rc.Duration = duration
-		rcs = append(rcs, rc)
-	}
-	return rcs
-}
-
-// RunFig2Workers is RunFig2 on an explicit worker count.
-func RunFig2Workers(seed uint64, duration sim.Time, workers int) *Fig2Result {
-	rcs := Fig2Batch(seed, duration)
-	return &Fig2Result{Topo: rcs[0].Topo, Runs: RunAllWorkers(rcs, workers)}
 }
 
 // Fprint renders the Figure 2 trees and cost table.
@@ -73,30 +53,6 @@ func (r *Fig2Result) Fprint(w io.Writer) {
 type Fig6Result struct {
 	Topo *topo.Topology
 	Runs []*Result
-}
-
-// RunFig6 executes the five Figure 6 runs on the default worker pool.
-func RunFig6(seed uint64, duration sim.Time) *Fig6Result {
-	return RunFig6Workers(seed, duration, DefaultWorkers())
-}
-
-// Fig6Batch builds the declarative run batch behind Figure 6: the five
-// design-space variants on Mirage at 0 dBm.
-func Fig6Batch(seed uint64, duration sim.Time) []RunConfig {
-	tp := topo.Mirage(seed)
-	var rcs []RunConfig
-	for _, p := range []Protocol{ProtoCTP, ProtoCTPUnidir, ProtoCTPWhite, Proto4B, ProtoMultiHopLQI} {
-		rc := DefaultRunConfig(p, tp, seed)
-		rc.Duration = duration
-		rcs = append(rcs, rc)
-	}
-	return rcs
-}
-
-// RunFig6Workers is RunFig6 on an explicit worker count.
-func RunFig6Workers(seed uint64, duration sim.Time, workers int) *Fig6Result {
-	rcs := Fig6Batch(seed, duration)
-	return &Fig6Result{Topo: rcs[0].Topo, Runs: RunAllWorkers(rcs, workers)}
 }
 
 // Fprint renders the Figure 6 scatter as a table (cost vs depth).
@@ -141,45 +97,14 @@ type PowerSweepResult struct {
 	LQI    []*Result // MultiHopLQI, by power
 }
 
-// RunPowerSweep executes the shared Figure 7/8 runs on the default worker
-// pool.
-func RunPowerSweep(seed uint64, duration sim.Time) *PowerSweepResult {
-	return RunPowerSweepWorkers(seed, duration, DefaultWorkers())
-}
-
-// PowerSweepPowers is the transmit-power axis of Figures 7 and 8.
-var PowerSweepPowers = []float64{0, -10, -20}
-
-// PowerSweepBatch builds the declarative run batch shared by Figures 7 and
-// 8: (4B, MultiHopLQI) at each power of PowerSweepPowers, interleaved in
-// that order.
-func PowerSweepBatch(seed uint64, duration sim.Time) []RunConfig {
-	tp := topo.Mirage(seed)
-	var rcs []RunConfig
-	for _, pw := range PowerSweepPowers {
-		for _, p := range []Protocol{Proto4B, ProtoMultiHopLQI} {
-			rc := DefaultRunConfig(p, tp, seed)
-			rc.TxPowerDBm = pw
-			rc.Duration = duration
-			rcs = append(rcs, rc)
-		}
-	}
-	return rcs
-}
-
-// RunPowerSweepWorkers is RunPowerSweep on an explicit worker count.
-func RunPowerSweepWorkers(seed uint64, duration sim.Time, workers int) *PowerSweepResult {
-	rcs := PowerSweepBatch(seed, duration)
-	return AssemblePowerSweep(rcs[0].Topo, RunAllWorkers(rcs, workers))
-}
-
-// AssemblePowerSweep regroups a PowerSweepBatch's results into the Figure
-// 7/8 result structure.
+// AssemblePowerSweep regroups the power sweep's runs — (4B, MultiHopLQI)
+// pairs, one per power — into the Figure 7/8 result structure.
 func AssemblePowerSweep(tp *topo.Topology, runs []*Result) *PowerSweepResult {
-	out := &PowerSweepResult{Topo: tp, Powers: PowerSweepPowers}
-	for i := range out.Powers {
-		out.FB = append(out.FB, runs[2*i])
-		out.LQI = append(out.LQI, runs[2*i+1])
+	out := &PowerSweepResult{Topo: tp}
+	for i := 0; i < len(runs); i += 2 {
+		out.Powers = append(out.Powers, runs[i].TxPowerDBm)
+		out.FB = append(out.FB, runs[i])
+		out.LQI = append(out.LQI, runs[i+1])
 	}
 	return out
 }
@@ -231,34 +156,8 @@ type HeadlineResult struct {
 	LQI      []*Result
 }
 
-// RunHeadline executes 4B and MultiHopLQI on both testbeds on the default
-// worker pool.
-func RunHeadline(seed uint64, duration sim.Time) *HeadlineResult {
-	return RunHeadlineWorkers(seed, duration, DefaultWorkers())
-}
-
-// HeadlineBatch builds the declarative run batch behind the headline
-// comparison: (4B, MultiHopLQI) on Mirage then TutorNet.
-func HeadlineBatch(seed uint64, duration sim.Time) []RunConfig {
-	var rcs []RunConfig
-	for _, tb := range []*topo.Topology{topo.Mirage(seed), topo.TutorNet(seed)} {
-		for _, p := range []Protocol{Proto4B, ProtoMultiHopLQI} {
-			rc := DefaultRunConfig(p, tb, seed)
-			rc.Duration = duration
-			rcs = append(rcs, rc)
-		}
-	}
-	return rcs
-}
-
-// RunHeadlineWorkers is RunHeadline on an explicit worker count.
-func RunHeadlineWorkers(seed uint64, duration sim.Time, workers int) *HeadlineResult {
-	rcs := HeadlineBatch(seed, duration)
-	return AssembleHeadline(rcs, RunAllWorkers(rcs, workers))
-}
-
-// AssembleHeadline regroups a HeadlineBatch's results into the headline
-// result structure.
+// AssembleHeadline regroups the headline's runs — (4B, MultiHopLQI) pairs,
+// one per testbed — into the headline result structure.
 func AssembleHeadline(rcs []RunConfig, runs []*Result) *HeadlineResult {
 	out := &HeadlineResult{}
 	for i := 0; i < len(runs); i += 2 {

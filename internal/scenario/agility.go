@@ -44,30 +44,24 @@ const (
 // root's new (longer, greyer) last hops.
 func AgilityDeadNodes() []int { return []int{1, 8, 9} }
 
-// AgilitySpecs is the figure as scenarios: one spec per estimator kind,
-// with the scripted death and the timeline declared like any user scenario
-// would. minutes <= 0 means the standard 25.
+// AgilitySpecs is the figure as scenarios: the estimator comparison's specs
+// (EstCompareSpecs: grid, power, kind order) with the scripted death and
+// the timeline declared like any user scenario would. minutes <= 0 means
+// the standard 25.
 func AgilitySpecs(seed uint64, minutes float64) []Spec {
 	if minutes <= 0 {
 		minutes = 25
 	}
-	var specs []Spec
-	for _, k := range experiment.EstCompareKinds {
-		specs = append(specs, Spec{
-			Name:        "agility-" + string(k),
-			Protocol:    "4B",
-			Estimator:   string(k),
-			Topology:    TopoSpec{Kind: "grid", Rows: 8, Cols: 8},
-			Seed:        seed,
-			TxPowerDBm:  experiment.EstComparePower(),
-			DurationMin: minutes,
-			TimelineS:   AgilityWindowS,
-			Dynamics: []Event{{
-				Kind:  "node-down",
-				AtMin: minutes * agilityDeathFrac,
-				Nodes: AgilityDeadNodes(),
-			}},
-		})
+	specs := EstCompareSpecs(seed, minutes)
+	for i := range specs {
+		s := &specs[i]
+		s.Name = "agility-" + s.Estimator
+		s.TimelineS = AgilityWindowS
+		s.Dynamics = []Event{{
+			Kind:  "node-down",
+			AtMin: minutes * agilityDeathFrac,
+			Nodes: AgilityDeadNodes(),
+		}}
 	}
 	return specs
 }
@@ -77,7 +71,7 @@ type AgilityResult struct {
 	Seed     uint64
 	Minutes  float64
 	DeathMin float64
-	Runs     []*experiment.Result // ordered as experiment.EstCompareKinds
+	Runs     []*experiment.Result // ordered as EstCompareKinds
 }
 
 // RunAgility executes the agility figure on a worker pool.
@@ -96,12 +90,7 @@ func RunAgility(seed uint64, minutes float64, workers int) *AgilityResult {
 
 // ByKind returns the run for an estimator kind, or nil.
 func (r *AgilityResult) ByKind(k core.EstimatorKind) *experiment.Result {
-	for _, res := range r.Runs {
-		if res.Estimator == k {
-			return res
-		}
-	}
-	return nil
+	return (&experiment.EstCompareResult{Runs: r.Runs}).ByKind(k)
 }
 
 // Recovery computes the recovery-time metric for one estimator kind's run:
@@ -207,7 +196,7 @@ func (r *AgilityResult) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "Agility: parent death at minute %.1f (nodes %v down), %s windows, recovery band +%.0f%%\n",
 		r.DeathMin, AgilityDeadNodes(), (AgilityWindowS * sim.Second).String(), AgilityEps*100)
 	fmt.Fprintf(w, "cost per window relative to pre-death baseline ('|' = death; '.' within band, ':' <=1.5x, '=' <=2x, '+' <=3x, '*' <=5x, '#' >5x, '!' nothing delivered)\n\n")
-	for _, k := range experiment.EstCompareKinds {
+	for _, k := range EstCompareKinds {
 		res := r.ByKind(k)
 		if res == nil || res.Timeline == nil {
 			continue

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"fourbit/internal/core"
-	"fourbit/internal/experiment"
 )
 
 var updateGoldens = flag.Bool("update-goldens", false, "rewrite testdata/golden_timeline.txt from the current model")
@@ -98,8 +97,8 @@ func TestGoldenTimelineFigure(t *testing.T) {
 // timeline and the death event.
 func TestAgilitySpecsValid(t *testing.T) {
 	specs := AgilitySpecs(1, 0)
-	if len(specs) != len(experiment.EstCompareKinds) {
-		t.Fatalf("specs = %d, want %d", len(specs), len(experiment.EstCompareKinds))
+	if len(specs) != len(EstCompareKinds) {
+		t.Fatalf("specs = %d, want %d", len(specs), len(EstCompareKinds))
 	}
 	for i := range specs {
 		if err := specs[i].Validate(); err != nil {

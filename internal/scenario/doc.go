@@ -6,11 +6,13 @@
 // export.
 //
 // The paper's claim is that four-bit estimation holds up across
-// *conditions*; the five figure harnesses cover five of them. A Spec makes
-// the rest reachable without writing a new harness: every figure is itself
-// just a preset batch of Specs (see Fig2Specs and friends), and new
-// workloads — dense clusters, marginal power, mid-run interference, node
-// churn — are data, not code.
+// *conditions*; the figures cover a few of them. A Spec makes the rest
+// reachable without writing a new harness: every figure is itself just a
+// preset batch of Specs (Fig2Specs and friends are the only definition of
+// each figure's runs; RunFig2 and friends execute them and hand the results
+// to the figure's result type in internal/experiment), and new workloads —
+// dense clusters, marginal power, mid-run interference, node churn — are
+// data, not code.
 //
 // Layering: scenario sits above internal/experiment and compiles down to
 // it. Execution always goes through experiment.RunAllWorkers, so a sweep's

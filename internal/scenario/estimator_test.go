@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fourbit/internal/core"
-	"fourbit/internal/experiment"
 )
 
 func TestSpecEstimatorSelector(t *testing.T) {
@@ -93,8 +92,8 @@ func TestSweepEstimatorAxisRejectsNumeric(t *testing.T) {
 
 func TestEstComparePresetSpecsValid(t *testing.T) {
 	specs := EstCompareSpecs(1, 25)
-	if len(specs) != len(experiment.EstCompareKinds) {
-		t.Fatalf("specs = %d, want %d", len(specs), len(experiment.EstCompareKinds))
+	if len(specs) != len(EstCompareKinds) {
+		t.Fatalf("specs = %d, want %d", len(specs), len(EstCompareKinds))
 	}
 	for i := range specs {
 		if err := specs[i].Validate(); err != nil {

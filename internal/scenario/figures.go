@@ -1,16 +1,16 @@
 package scenario
 
 import (
+	"fourbit/internal/core"
 	"fourbit/internal/experiment"
 )
 
-// The paper's figures, re-expressed as scenario presets. Each *Specs
-// function is the declarative form of the corresponding experiment batch
-// builder; TestFigureSpecsMatchExperimentBatches pins the two to compile to
-// identical RunConfigs, and the Run wrappers execute through the same
-// worker pool, so figure output through this path is byte-identical to the
-// classic harness. Figure 3 is not a RunConfig batch (it instruments one
-// link mid-run) and stays a bespoke harness in internal/experiment.
+// The paper's figures as scenario presets. Each *Specs function is the one
+// definition of a figure's run batch, and each Run* function executes it on
+// the experiment worker pool and hands the results to the figure's result
+// type in internal/experiment, which renders them. Figure 3 is not a
+// RunConfig batch (it instruments one link mid-run) and stays a bespoke
+// harness in internal/experiment.
 
 // figureSpec is the shared 25-minute testbed scenario scaled to minutes.
 func figureSpec(protocol, kind string, seed uint64, minutes float64) Spec {
@@ -41,11 +41,14 @@ func Fig6Specs(seed uint64, minutes float64) []Spec {
 	return specs
 }
 
+// PowerSweepPowers is the transmit-power axis of Figures 7 and 8.
+var PowerSweepPowers = []float64{0, -10, -20}
+
 // PowerSweepSpecs is the Figure 7/8 batch as scenarios: (4B, MultiHopLQI)
-// at each power of experiment.PowerSweepPowers.
+// at each power of PowerSweepPowers, interleaved in that order.
 func PowerSweepSpecs(seed uint64, minutes float64) []Spec {
 	var specs []Spec
-	for _, pw := range experiment.PowerSweepPowers {
+	for _, pw := range PowerSweepPowers {
 		for _, p := range []string{"4B", "MultiHopLQI"} {
 			s := figureSpec(p, "mirage", seed, minutes)
 			s.TxPowerDBm = pw
@@ -67,21 +70,31 @@ func HeadlineSpecs(seed uint64, minutes float64) []Spec {
 	return specs
 }
 
-// EstCompareSpecs is the estimator comparison as scenarios: CTP on the
-// default grid topology with each registered estimator kind swapped in
-// (experiment.EstCompareBatch, declaratively).
+// EstCompareKinds is the estimator axis of the comparison, in display
+// order.
+var EstCompareKinds = []core.EstimatorKind{
+	core.KindFourBit, core.KindWMEWMA, core.KindPDR, core.KindLQI,
+}
+
+// EstCompareSpecs is the estimator comparison as scenarios: the paper's
+// central claim run over one router (CTP), one topology and one seed, with
+// each kind of EstCompareKinds swapped in as the link estimator. The
+// testbed is the default 8x8 grid (the generator's standard 6 m spacing,
+// root in a corner) at reduced transmit power, so routes are several hops
+// long and the grey region — where estimator quality decides cost — covers
+// many links. The agility figure and the grid-* presets derive their
+// conditions from these specs.
 func EstCompareSpecs(seed uint64, minutes float64) []Spec {
 	var specs []Spec
-	for _, k := range experiment.EstCompareKinds {
-		s := Spec{
+	for _, k := range EstCompareKinds {
+		specs = append(specs, Spec{
 			Protocol:    "4B",
 			Estimator:   string(k),
 			Topology:    TopoSpec{Kind: "grid", Rows: 8, Cols: 8},
 			Seed:        seed,
-			TxPowerDBm:  experiment.EstComparePower(),
+			TxPowerDBm:  -12.5,
 			DurationMin: minutes,
-		}
-		specs = append(specs, s)
+		})
 	}
 	return specs
 }

@@ -1,61 +1,222 @@
 package scenario
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 
+	"fourbit/internal/core"
 	"fourbit/internal/experiment"
-	"fourbit/internal/sim"
 )
 
-// The figure presets must compile to exactly the batches the classic
-// harness builds — this is what makes figure output through the scenario
-// path byte-identical to pre-scenario output.
-func TestFigureSpecsMatchExperimentBatches(t *testing.T) {
-	const seed, minutes = 1, 25.0
-	dur := sim.FromSeconds(minutes * 60)
-	cases := []struct {
-		name  string
-		specs []Spec
-		want  []experiment.RunConfig
-	}{
-		{"fig2", Fig2Specs(seed, minutes), experiment.Fig2Batch(seed, dur)},
-		{"fig6", Fig6Specs(seed, minutes), experiment.Fig6Batch(seed, dur)},
-		{"powersweep", PowerSweepSpecs(seed, minutes), experiment.PowerSweepBatch(seed, dur)},
-		{"headline", HeadlineSpecs(seed, minutes), experiment.HeadlineBatch(seed, dur)},
-		{"estcompare", EstCompareSpecs(seed, minutes), experiment.EstCompareBatch(seed, dur)},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			got, err := BuildRuns(c.specs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(c.want) {
-				t.Fatalf("batch size %d, want %d", len(got), len(c.want))
-			}
-			for i := range got {
-				if !reflect.DeepEqual(got[i], c.want[i]) {
-					t.Errorf("run %d differs:\nscenario:   %+v\nexperiment: %+v", i, got[i], c.want[i])
-				}
-			}
-		})
-	}
-}
+// The figure tests run compressed versions of each figure and assert the
+// paper's qualitative findings — the orderings and directions, not the
+// absolute values. They are the repository's regression net for the
+// reproduction itself. Durations are chosen as the shortest that give
+// stable orderings; `go test` stays interactive, the full-scale runs live
+// in the fourbitsim CLI.
 
-// A full end-to-end check on one figure: the rendered output of the
-// scenario path is byte-identical to the classic harness.
-func TestFig2OutputByteIdentical(t *testing.T) {
+const testMinutes = 6
+
+func TestFig2Orderings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run simulation")
 	}
-	const seed, minutes = 1, 2.0
-	var classic, preset bytes.Buffer
-	experiment.RunFig2Workers(seed, sim.FromSeconds(minutes*60), 2).Fprint(&classic)
-	RunFig2(seed, minutes, 2).Fprint(&preset)
-	if classic.String() != preset.String() {
-		t.Fatalf("fig2 output differs:\n-- classic --\n%s\n-- scenario --\n%s",
-			classic.String(), preset.String())
+	r := RunFig2(1, testMinutes, experiment.DefaultWorkers())
+	ctp, lqi, unlimited := r.Runs[0], r.Runs[1], r.Runs[2]
+	if ctp.Protocol != experiment.ProtoCTP || lqi.Protocol != experiment.ProtoMultiHopLQI ||
+		unlimited.Protocol != experiment.ProtoCTPUnlimited {
+		t.Fatal("run order wrong")
+	}
+	// Paper Figure 2's core claim: the 10-entry link table inflates CTP's
+	// cost well above both alternatives (paper: 3.14 vs 2.28 and 1.86).
+	// The relative order of MultiHopLQI and CTP-unlimited varies with the
+	// channel realization here; the restricted-table penalty is the robust
+	// effect.
+	if !(ctp.Cost > lqi.Cost) {
+		t.Errorf("cost ordering: CTP %.2f should exceed MultiHopLQI %.2f", ctp.Cost, lqi.Cost)
+	}
+	if !(ctp.Cost > unlimited.Cost) {
+		t.Errorf("cost ordering: CTP %.2f should exceed CTP-unlimited %.2f", ctp.Cost, unlimited.Cost)
+	}
+	// The restricted table produces deeper trees than the unrestricted one.
+	if !(ctp.MeanDepth > unlimited.MeanDepth) {
+		t.Errorf("depth: CTP(10) %.2f should exceed CTP(unlimited) %.2f", ctp.MeanDepth, unlimited.MeanDepth)
+	}
+}
+
+func TestFig6Orderings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run simulation")
+	}
+	r := RunFig6(1, testMinutes, experiment.DefaultWorkers())
+	get := func(p experiment.Protocol) *experiment.Result {
+		for _, res := range r.Runs {
+			if res.Protocol == p {
+				return res
+			}
+		}
+		t.Fatalf("missing %v run", p)
+		return nil
+	}
+	ctp := get(experiment.ProtoCTP)
+	fb := get(experiment.Proto4B)
+	lqi := get(experiment.ProtoMultiHopLQI)
+	unidir := get(experiment.ProtoCTPUnidir)
+	white := get(experiment.ProtoCTPWhite)
+
+	// Adding bits to CTP reduces cost (paper: ack bit -31%, white -15%,
+	// all bits -45%).
+	if !(fb.Cost < ctp.Cost) {
+		t.Errorf("4B cost %.2f should be below CTP %.2f", fb.Cost, ctp.Cost)
+	}
+	if !(unidir.Cost < ctp.Cost) {
+		t.Errorf("CTP+unidir cost %.2f should be below CTP %.2f", unidir.Cost, ctp.Cost)
+	}
+	// The white/compare bits alone are the weakest addition (paper: -15%);
+	// at this compressed duration allow the transient some slack.
+	if !(white.Cost < ctp.Cost*1.15) {
+		t.Errorf("CTP+white cost %.2f should not exceed CTP %.2f by >15%%", white.Cost, ctp.Cost)
+	}
+	// 4B beats the MultiHopLQI baseline.
+	if !(fb.Cost < lqi.Cost) {
+		t.Errorf("4B cost %.2f should be below MultiHopLQI %.2f", fb.Cost, lqi.Cost)
+	}
+	// And everyone delivers; 4B near-perfectly (paper: 99.9%).
+	if fb.DeliveryRatio < 0.98 {
+		t.Errorf("4B delivery %.3f < 0.98", fb.DeliveryRatio)
+	}
+	if ctp.DeliveryRatio < 0.85 {
+		t.Errorf("CTP delivery %.3f < 0.85", ctp.DeliveryRatio)
+	}
+}
+
+func TestFig7PowerTrends(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run simulation")
+	}
+	r := RunPowerSweep(1, testMinutes, experiment.DefaultWorkers())
+	// Cost and depth increase as power decreases, for both protocols.
+	for i := 1; i < len(r.Powers); i++ {
+		if !(r.FB[i].Cost > r.FB[i-1].Cost) {
+			t.Errorf("4B cost not increasing: %.2f -> %.2f at %v dBm",
+				r.FB[i-1].Cost, r.FB[i].Cost, r.Powers[i])
+		}
+		if !(r.LQI[i].Cost > r.LQI[i-1].Cost) {
+			t.Errorf("LQI cost not increasing at %v dBm", r.Powers[i])
+		}
+		if !(r.FB[i].MeanDepth > r.FB[i-1].MeanDepth) {
+			t.Errorf("4B depth not increasing at %v dBm", r.Powers[i])
+		}
+	}
+	// 4B is cheaper at every power (paper: 11..29% improvement).
+	for i, pw := range r.Powers {
+		if !(r.FB[i].Cost < r.LQI[i].Cost) {
+			t.Errorf("at %v dBm 4B cost %.2f !< MultiHopLQI %.2f", pw, r.FB[i].Cost, r.LQI[i].Cost)
+		}
+	}
+}
+
+func TestFig8DeliveryDistributions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run simulation")
+	}
+	r := RunPowerSweep(1, testMinutes, experiment.DefaultWorkers())
+	last := len(r.Powers) - 1 // -20 dBm
+	fbWorst := minOf(r.FB[last].PerNodeDelivery)
+	lqiWorst := minOf(r.LQI[last].PerNodeDelivery)
+	// Paper Figure 8: 4B maintains high, tight distributions; MultiHopLQI
+	// grows a long low tail as power falls. (The compressed duration here
+	// includes the route-formation transient, so the bound is looser than
+	// the paper-scale >= 0.97.)
+	if fbWorst < 0.75 {
+		t.Errorf("4B worst node at -20 dBm = %.3f, want >= 0.75", fbWorst)
+	}
+	if !(lqiWorst < fbWorst) {
+		t.Errorf("MultiHopLQI worst node %.3f should be below 4B's %.3f", lqiWorst, fbWorst)
+	}
+	if r.FB[last].DeliveryRatio < 0.97 {
+		t.Errorf("4B mean delivery at -20 dBm = %.3f", r.FB[last].DeliveryRatio)
+	}
+}
+
+func minOf(v []float64) float64 {
+	m := v[0]
+	for _, x := range v[1:] {
+		if x < m {
+			m = x
+		}
+	}
+	return m
+}
+
+func TestHeadlineDirections(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run simulation")
+	}
+	r := RunHeadline(1, testMinutes, experiment.DefaultWorkers())
+	for i, name := range r.Testbeds {
+		if !(r.FB[i].Cost < r.LQI[i].Cost) {
+			t.Errorf("%s: 4B cost %.2f !< MultiHopLQI %.2f", name, r.FB[i].Cost, r.LQI[i].Cost)
+		}
+		if !(r.FB[i].DeliveryRatio > r.LQI[i].DeliveryRatio-0.001) {
+			t.Errorf("%s: 4B delivery %.3f not above MultiHopLQI %.3f",
+				name, r.FB[i].DeliveryRatio, r.LQI[i].DeliveryRatio)
+		}
+		if r.FB[i].DeliveryRatio < 0.98 {
+			t.Errorf("%s: 4B delivery %.3f below 0.98", name, r.FB[i].DeliveryRatio)
+		}
+	}
+}
+
+// TestEstCompareOrderings asserts the comparison workload's reproduction
+// target — the paper's central claim restated over one fixed router: the
+// four-bit hybrid beats both the beacon-only (WMEWMA/ETX) estimator and
+// pure-LQI estimation on delivery cost, on the default grid.
+func TestEstCompareOrderings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run simulation")
+	}
+	r := RunEstCompare(1, testMinutes, experiment.DefaultWorkers())
+	if len(r.Runs) != len(EstCompareKinds) {
+		t.Fatalf("runs = %d, want %d", len(r.Runs), len(EstCompareKinds))
+	}
+	get := func(k core.EstimatorKind) *experiment.Result {
+		res := r.ByKind(k)
+		if res == nil {
+			t.Fatalf("missing %s run", k)
+		}
+		return res
+	}
+	fb := get(core.KindFourBit)
+	wmewma := get(core.KindWMEWMA)
+	lqi := get(core.KindLQI)
+	pdr := get(core.KindPDR)
+
+	if !(fb.Cost < wmewma.Cost) {
+		t.Errorf("cost ordering: 4bit %.2f should beat wmewma %.2f", fb.Cost, wmewma.Cost)
+	}
+	if !(fb.Cost < lqi.Cost) {
+		t.Errorf("cost ordering: 4bit %.2f should beat lqi %.2f", fb.Cost, lqi.Cost)
+	}
+	if !(fb.Cost < pdr.Cost) {
+		t.Errorf("cost ordering: 4bit %.2f should beat pdr %.2f", fb.Cost, pdr.Cost)
+	}
+	// Delivery, the paper's other headline: the hybrid should also deliver
+	// at least as reliably as the physical-layer-only estimator.
+	if !(fb.DeliveryRatio > lqi.DeliveryRatio) {
+		t.Errorf("delivery: 4bit %.3f should exceed lqi %.3f", fb.DeliveryRatio, lqi.DeliveryRatio)
+	}
+	// Counter sanity: only the hybrid consumes the ack bit; every kind
+	// processes beacons.
+	if fb.EstUnicastWin == 0 {
+		t.Error("4bit completed no unicast windows")
+	}
+	for _, k := range []core.EstimatorKind{core.KindWMEWMA, core.KindPDR, core.KindLQI} {
+		res := get(k)
+		if res.EstUnicastWin != 0 {
+			t.Errorf("%s completed %d unicast windows, want 0", k, res.EstUnicastWin)
+		}
+		if res.EstBeaconsIn == 0 {
+			t.Errorf("%s processed no beacons", k)
+		}
 	}
 }

@@ -1,7 +1,5 @@
 package scenario
 
-import "fourbit/internal/experiment"
-
 // NamedSpec is a ready-to-run scenario preset for the CLI.
 type NamedSpec struct {
 	Name string
@@ -106,7 +104,7 @@ func Presets() []NamedSpec {
 // estimator kinds side by side.
 func deathRecoveryPreset() NamedSpec {
 	s := AgilitySpecs(1, 0)[0]
-	if s.Estimator != string(experiment.EstCompareKinds[0]) {
+	if s.Estimator != string(EstCompareKinds[0]) {
 		panic("scenario: agility specs no longer lead with the four-bit kind")
 	}
 	s.Name = "node-death-recovery"
@@ -158,7 +156,7 @@ func fptr(v float64) *float64 { return &v }
 
 // estKindPreset derives a single-estimator preset from the comparison
 // figure's own specs, so preset conditions (grid, power, seed) track
-// experiment/estcompare.go instead of restating them.
+// EstCompareSpecs instead of restating them.
 func estKindPreset(name, kind, desc string) NamedSpec {
 	for _, s := range EstCompareSpecs(1, 0) {
 		if s.Estimator == kind {

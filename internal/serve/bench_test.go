@@ -45,8 +45,8 @@ func benchLines(n int) [][]byte {
 // so the two ingest sub-benchmarks push identical event sequences.
 func benchFrame(b *testing.B, lines [][]byte) []byte {
 	b.Helper()
-	var dec EventDecoder
-	evs := make([]Event, len(lines))
+	var dec wire.EventDecoder
+	evs := make([]wire.Event, len(lines))
 	for i, line := range lines {
 		if err := dec.Decode(line, &evs[i]); err != nil {
 			b.Fatal(err)
@@ -65,8 +65,8 @@ func benchFrame(b *testing.B, lines [][]byte) []byte {
 // scripts/alloc_budget.txt: the fast path's scratch reuse must hold.
 func BenchmarkServeDecodeEvent(b *testing.B) {
 	lines := benchLines(1024)
-	var dec EventDecoder
-	var ev Event
+	var dec wire.EventDecoder
+	var ev wire.Event
 	for _, line := range lines { // warm scratch: 1x runs measure steady state
 		if err := dec.Decode(line, &ev); err != nil {
 			b.Fatal(err)
@@ -135,10 +135,10 @@ func BenchmarkServeIngest(b *testing.B) {
 	}
 
 	b.Run("jsonl", func(b *testing.B) {
-		decs := make([]EventDecoder, instances)
+		decs := make([]wire.EventDecoder, instances)
 		bench(b, func(in *instance, slot int) {
 			dec := &decs[slot]
-			var ev Event
+			var ev wire.Event
 			for _, line := range lines {
 				if err := dec.Decode(line, &ev); err != nil {
 					b.Error(err)

@@ -65,8 +65,8 @@ func TestFeedRecorderReplayReproducesEstimator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var dec EventDecoder
-			var ev Event
+			var dec wire.EventDecoder
+			var ev wire.Event
 			lines := 0
 			for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
 				if len(line) == 0 {
@@ -118,16 +118,16 @@ func TestFeedRecorderReplayReproducesEstimator(t *testing.T) {
 
 // applyToEstimator drives one decoded wire event into est — the replay leg
 // shared by both wire formats.
-func applyToEstimator(est core.LinkEstimator, ev *Event) {
+func applyToEstimator(est core.LinkEstimator, ev *wire.Event) {
 	switch ev.Ev {
-	case EvBeacon:
+	case wire.EvBeacon:
 		relay := packet.LEFrame{Seq: ev.Seq, Entries: ev.Links}
 		est.OnBeacon(ev.Src, &relay, core.RxMeta{White: ev.White, LQI: ev.LQI, SNRdB: ev.SNR}, ev.At)
-	case EvTx:
+	case wire.EvTx:
 		est.TxResult(ev.Src, ev.Acked)
-	case EvRx:
+	case wire.EvRx:
 		est.OnOverhear(ev.Src, core.RxMeta{White: ev.White, LQI: ev.LQI, SNRdB: ev.SNR}, ev.At)
-	case EvAge:
+	case wire.EvAge:
 		est.Age(ev.Silence, ev.At)
 	}
 }

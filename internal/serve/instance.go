@@ -7,6 +7,7 @@ import (
 
 	"fourbit/internal/core"
 	"fourbit/internal/packet"
+	"fourbit/internal/serve/wire"
 	"fourbit/internal/sim"
 )
 
@@ -84,7 +85,7 @@ type instance struct {
 	est core.LinkEstimator
 	le  packet.LEFrame // scratch envelope for beacon apply
 
-	queue  []Event // ring buffer: [head, head+count) mod len
+	queue  []wire.Event // ring buffer: [head, head+count) mod len
 	head   int
 	count  int
 	policy OverflowPolicy
@@ -118,7 +119,7 @@ func newInstance(name string, kind core.EstimatorKind, self packet.Addr, cfg cor
 	in := &instance{
 		name: name, kind: kind, seed: seed,
 		est:    est,
-		queue:  make([]Event, queueDepth),
+		queue:  make([]wire.Event, queueDepth),
 		policy: policy,
 		done:   make(chan struct{}),
 	}
@@ -130,7 +131,7 @@ func newInstance(name string, kind core.EstimatorKind, self packet.Addr, cfg cor
 // enqueue admits one event under the overflow policy. The Links slice is
 // deep-copied into the queue slot: the decoder's scratch is reused per line,
 // but queued events outlive the line.
-func (in *instance) enqueue(ev *Event) error {
+func (in *instance) enqueue(ev *wire.Event) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.closed {
@@ -171,7 +172,7 @@ func (in *instance) enqueue(ev *Event) error {
 // batch stops and the error reports why, with accepted saying how many
 // events made it in — the suffix evs[accepted:] was not admitted and a
 // backpressured client retries exactly that.
-func (in *instance) enqueueBatch(evs []Event) (accepted int, err error) {
+func (in *instance) enqueueBatch(evs []wire.Event) (accepted int, err error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	for i := range evs {
@@ -242,7 +243,7 @@ func (in *instance) worker() {
 }
 
 // applyLocked applies one event, absorbing panics into quarantine.
-func (in *instance) applyLocked(ev *Event) {
+func (in *instance) applyLocked(ev *wire.Event) {
 	defer func() {
 		if r := recover(); r != nil {
 			in.quarantined = true
@@ -260,7 +261,7 @@ func (in *instance) applyLocked(ev *Event) {
 		in.lastAt = at
 	}
 	switch ev.Ev {
-	case EvBeacon:
+	case wire.EvBeacon:
 		if in.sawBeacon && ev.Src == in.lastSrc && ev.Seq == in.lastSeq {
 			in.stats.DupBeacons++
 		}
@@ -268,13 +269,13 @@ func (in *instance) applyLocked(ev *Event) {
 		in.le.Seq, in.le.Entries, in.le.NetPayload = ev.Seq, ev.Links, nil
 		in.est.OnBeacon(ev.Src, &in.le, core.RxMeta{White: ev.White, LQI: ev.LQI, SNRdB: ev.SNR}, at)
 		in.le.Entries = nil
-	case EvTx:
+	case wire.EvTx:
 		in.est.TxResult(ev.Src, ev.Acked)
-	case EvRx:
+	case wire.EvRx:
 		in.est.OnOverhear(ev.Src, core.RxMeta{White: ev.White, LQI: ev.LQI, SNRdB: ev.SNR}, at)
-	case EvAge:
+	case wire.EvAge:
 		in.est.Age(ev.Silence, at)
-	case EvPoison:
+	case wire.EvPoison:
 		panic("serve: poison event (fault injection)")
 	}
 }
@@ -432,7 +433,7 @@ func restoreInstance(snap *InstanceSnapshot, queueDepth int, policy OverflowPoli
 	in := &instance{
 		name: snap.Name, kind: snap.Kind, seed: snap.Seed,
 		est:    est,
-		queue:  make([]Event, queueDepth),
+		queue:  make([]wire.Event, queueDepth),
 		policy: policy,
 		stats:  stats,
 		lastAt: snap.LastAt, sawBeacon: snap.SawBeacon, lastSrc: snap.LastSrc, lastSeq: snap.LastSeq,

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fourbit/internal/serve/wire"
 )
 
 // testServer wires a Server behind httptest with test-friendly options.
@@ -86,27 +88,27 @@ func TestDecodeEventTyped(t *testing.T) {
 		{"tx ok", `{"ev":"tx","at":5,"dest":3,"acked":true}`, nil},
 		{"rx ok", `{"ev":"rx","at":5,"src":3,"lqi":80}`, nil},
 		{"age ok", `{"ev":"age","at":5,"silence":1000}`, nil},
-		{"not json", `{"ev":`, ErrEventSyntax},
-		{"wrong field type", `{"ev":"tx","at":"soon","dest":3,"acked":true}`, ErrEventSyntax},
-		{"array not object", `[1,2,3]`, ErrEventSyntax},
-		{"no kind", `{"at":5}`, ErrEventKind},
-		{"unknown kind", `{"ev":"bogus","at":5}`, ErrEventKind},
-		{"poison rejected by default", `{"ev":"poison","at":5}`, ErrEventKind},
-		{"missing at", `{"ev":"tx","dest":3,"acked":true}`, ErrEventField},
-		{"negative at", `{"ev":"tx","at":-5,"dest":3,"acked":true}`, ErrEventField},
-		{"beacon missing src", `{"ev":"beacon","at":1,"seq":2,"lqi":3}`, ErrEventField},
-		{"beacon src broadcast", `{"ev":"beacon","at":1,"src":65535,"seq":2,"lqi":3}`, ErrEventField},
-		{"beacon seq range", `{"ev":"beacon","at":1,"src":2,"seq":70000,"lqi":3}`, ErrEventField},
-		{"beacon lqi range", `{"ev":"beacon","at":1,"src":2,"seq":3,"lqi":300}`, ErrEventField},
-		{"beacon link q range", `{"ev":"beacon","at":1,"src":2,"seq":3,"lqi":4,"links":[{"addr":1,"q":999}]}`, ErrEventField},
-		{"beacon link addr missing", `{"ev":"beacon","at":1,"src":2,"seq":3,"lqi":4,"links":[{"q":9}]}`, ErrEventField},
-		{"tx missing acked", `{"ev":"tx","at":5,"dest":3}`, ErrEventField},
-		{"tx missing dest", `{"ev":"tx","at":5,"acked":true}`, ErrEventField},
-		{"rx lqi range", `{"ev":"rx","at":5,"src":3,"lqi":-1}`, ErrEventField},
-		{"age zero silence", `{"ev":"age","at":5,"silence":0}`, ErrEventField},
+		{"not json", `{"ev":`, wire.ErrEventSyntax},
+		{"wrong field type", `{"ev":"tx","at":"soon","dest":3,"acked":true}`, wire.ErrEventSyntax},
+		{"array not object", `[1,2,3]`, wire.ErrEventSyntax},
+		{"no kind", `{"at":5}`, wire.ErrEventKind},
+		{"unknown kind", `{"ev":"bogus","at":5}`, wire.ErrEventKind},
+		{"poison rejected by default", `{"ev":"poison","at":5}`, wire.ErrEventKind},
+		{"missing at", `{"ev":"tx","dest":3,"acked":true}`, wire.ErrEventField},
+		{"negative at", `{"ev":"tx","at":-5,"dest":3,"acked":true}`, wire.ErrEventField},
+		{"beacon missing src", `{"ev":"beacon","at":1,"seq":2,"lqi":3}`, wire.ErrEventField},
+		{"beacon src broadcast", `{"ev":"beacon","at":1,"src":65535,"seq":2,"lqi":3}`, wire.ErrEventField},
+		{"beacon seq range", `{"ev":"beacon","at":1,"src":2,"seq":70000,"lqi":3}`, wire.ErrEventField},
+		{"beacon lqi range", `{"ev":"beacon","at":1,"src":2,"seq":3,"lqi":300}`, wire.ErrEventField},
+		{"beacon link q range", `{"ev":"beacon","at":1,"src":2,"seq":3,"lqi":4,"links":[{"addr":1,"q":999}]}`, wire.ErrEventField},
+		{"beacon link addr missing", `{"ev":"beacon","at":1,"src":2,"seq":3,"lqi":4,"links":[{"q":9}]}`, wire.ErrEventField},
+		{"tx missing acked", `{"ev":"tx","at":5,"dest":3}`, wire.ErrEventField},
+		{"tx missing dest", `{"ev":"tx","at":5,"acked":true}`, wire.ErrEventField},
+		{"rx lqi range", `{"ev":"rx","at":5,"src":3,"lqi":-1}`, wire.ErrEventField},
+		{"age zero silence", `{"ev":"age","at":5,"silence":0}`, wire.ErrEventField},
 	}
-	var dec EventDecoder
-	var ev Event
+	var dec wire.EventDecoder
+	var ev wire.Event
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := dec.Decode([]byte(tc.line), &ev)
@@ -124,8 +126,8 @@ func TestDecodeEventTyped(t *testing.T) {
 }
 
 func TestDecodeEventFootersReused(t *testing.T) {
-	var dec EventDecoder
-	var ev Event
+	var dec wire.EventDecoder
+	var ev wire.Event
 	if err := dec.Decode([]byte(beaconLine(1, 2, 3, 99)), &ev); err != nil {
 		t.Fatal(err)
 	}
@@ -141,12 +143,12 @@ func TestDecodeEventFootersReused(t *testing.T) {
 }
 
 func TestDecodePoisonGated(t *testing.T) {
-	dec := EventDecoder{AllowPoison: true}
-	var ev Event
+	dec := wire.EventDecoder{AllowPoison: true}
+	var ev wire.Event
 	if err := dec.Decode([]byte(`{"ev":"poison","at":5}`), &ev); err != nil {
 		t.Fatalf("gated poison refused: %v", err)
 	}
-	if ev.Ev != EvPoison {
+	if ev.Ev != wire.EvPoison {
 		t.Fatalf("ev = %q", ev.Ev)
 	}
 }

@@ -1,3 +1,15 @@
+// Package serve hosts link estimators as a service: an HTTP server holding
+// thousands of concurrent estimator instances (one neighbor table plus any
+// registered core.LinkEstimator kind per instance), ingesting
+// tx/rx/beacon/age event streams in either wire format — line-oriented
+// JSONL or the batched binary encoding negotiated via Content-Type — and
+// answering link-cost and neighbor-table queries. The robustness surface is
+// the point: strict decoding with typed per-line (or per-frame) errors
+// (malformed input is counted, never kills a stream), bounded per-instance
+// ingest queues with explicit backpressure, per-request deadlines,
+// idle-instance eviction, per-instance panic quarantine, graceful drain,
+// and versioned snapshot/restore certified bit-identical by the chaostest
+// harness.
 package serve
 
 import (
@@ -530,8 +542,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, in *instan
 		s.handleEventsBinary(w, r, in)
 		return
 	}
-	dec := EventDecoder{AllowPoison: s.opts.AllowPoison}
-	var ev Event
+	dec := wire.EventDecoder{AllowPoison: s.opts.AllowPoison}
+	var ev wire.Event
 	var rep ingestReport
 	sc := bufio.NewScanner(r.Body)
 	// Scanner's limit is max(cap(buf), max): the initial capacity must not
