@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 
 	"fourbit/internal/collect"
@@ -214,6 +215,12 @@ func (s *Spec) duration() sim.Time {
 	return sim.FromSeconds(m * 60)
 }
 
+// maxDurationMin bounds DurationMin, WarmupMin and SampleS: a million
+// minutes (about 1.9 years simulated) is far beyond any run, yet two such
+// spans still sit ~75x below the ~1.5e8 minutes at which sim.Time's int64
+// nanoseconds overflow.
+const maxDurationMin = 1e6
+
 // Validate reports the first structural problem with the spec. Node-index
 // range checks happen in RunConfig, after the topology is built.
 func (s *Spec) Validate() error {
@@ -225,6 +232,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.DurationMin < 0 || s.WarmupMin < 0 || s.SampleS < 0 {
 		return fmt.Errorf("scenario %q: negative duration", s.Name)
+	}
+	if s.DurationMin > maxDurationMin || s.WarmupMin > maxDurationMin || s.SampleS > maxDurationMin*60 {
+		return fmt.Errorf("scenario %q: duration over %g minutes", s.Name, float64(maxDurationMin))
 	}
 	if s.TimelineS < 0 {
 		return fmt.Errorf("scenario %q: negative timeline window", s.Name)
@@ -437,18 +447,32 @@ func (s *Spec) Run(workers int) (*experiment.Replicated, error) {
 }
 
 // ParseSpec decodes and validates a JSON scenario spec. Unknown fields are
-// errors — a misspelled knob must not silently fall back to a default.
+// errors — a misspelled knob must not silently fall back to a default — and
+// so is anything but whitespace after the spec.
 func ParseSpec(data []byte) (Spec, error) {
 	var s Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := decodeStrict(data, &s); err != nil {
 		return Spec{}, fmt.Errorf("scenario: parsing spec: %w", err)
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err
 	}
 	return s, nil
+}
+
+// decodeStrict decodes data as exactly one JSON value into v, refusing
+// unknown fields and any non-whitespace after the value.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	end := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("trailing data after the JSON value at offset %d", end)
+	}
+	return nil
 }
 
 // TopoSpec names a topology generator and its parameters. Kinds:

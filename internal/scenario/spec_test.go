@@ -48,11 +48,30 @@ func TestSpecValidationErrors(t *testing.T) {
 		{"infinite jitter", Spec{Channel: &ChannelSpec{PacketJitterSigmaDB: f64(math.Inf(1))}}, "PacketJitterSigmaDB"},
 		{"negative fade tau", Spec{Channel: &ChannelSpec{FadeTauS: f64(-5)}}, "FadeTauS"},
 		{"infinite drift tau", Spec{Channel: &ChannelSpec{NoiseDriftTauS: f64(math.Inf(1))}}, "NoiseDriftTauS"},
+		{"duration overflows sim time", Spec{DurationMin: 1e12}, "duration over"},
+		{"warmup overflows sim time", Spec{WarmupMin: 2e8}, "duration over"},
+		{"sample period overflows sim time", Spec{SampleS: 1e10}, "duration over"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			wantErr(t, c.spec.Validate(), c.frag)
 		})
+	}
+	// What only the JSON decoding can refuse: data after the spec.
+	parseCases := []struct{ name, json, frag string }{
+		{"trailing spec", `{"Protocol": "4B"} {"Protocol": "CTP"}`, "trailing data"},
+		{"trailing garbage", `{"Protocol": "4B"}x`, "trailing data"},
+		{"trailing bracket", "{\"Protocol\": \"4B\"}\n]", "trailing data"},
+		{"parsed duration overflows sim time", `{"DurationMin": 1e300}`, "duration over"},
+	}
+	for _, c := range parseCases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := ParseSpec([]byte(c.json))
+			wantErr(t, err, c.frag)
+		})
+	}
+	if _, err := ParseSpec([]byte("{\"Protocol\": \"4B\"}\n\t \r\n")); err != nil {
+		t.Fatalf("trailing whitespace refused: %v", err)
 	}
 }
 

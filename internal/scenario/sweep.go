@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strconv"
 
@@ -280,12 +278,11 @@ func (sw *Sweep) Run(workers int) (*SweepResult, error) {
 	return out, nil
 }
 
-// ParseSweep decodes and validates a JSON sweep. Unknown fields are errors.
+// ParseSweep decodes and validates a JSON sweep. Unknown fields are errors,
+// and so is anything but whitespace after the sweep.
 func ParseSweep(data []byte) (Sweep, error) {
 	var sw Sweep
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sw); err != nil {
+	if err := decodeStrict(data, &sw); err != nil {
 		return Sweep{}, fmt.Errorf("scenario: parsing sweep: %w", err)
 	}
 	if err := sw.Validate(); err != nil {

@@ -48,6 +48,24 @@ func TestSweepValidationErrors(t *testing.T) {
 	sw.Axes[0].Strings = []string{"4B", "9B"}
 	_, err := sw.Cells()
 	wantErr(t, err, "unknown protocol")
+	// So is a duration axis value that would overflow sim time.
+	t.Run("duration overflows sim time", func(t *testing.T) {
+		sw := tinySweep()
+		sw.Axes = append(sw.Axes, Axis{Param: "duration-min", Values: []float64{2, 1e12}})
+		_, err := sw.Cells()
+		wantErr(t, err, "duration over")
+	})
+	// Data after the sweep is refused by the parser.
+	parseCases := []struct{ name, json string }{
+		{"trailing sweep", `{"Axes": [{"Param": "txpower", "Values": [0]}]} {"Axes": []}`},
+		{"trailing brace", `{"Axes": [{"Param": "txpower", "Values": [0]}]}}`},
+	}
+	for _, c := range parseCases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := ParseSweep([]byte(c.json))
+			wantErr(t, err, "trailing data")
+		})
+	}
 }
 
 func TestSweepExpansionRowMajor(t *testing.T) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -101,8 +102,8 @@ func benchInstances(b *testing.B, n int) []*instance {
 // edge for both wire formats: 8 concurrent instances, each decoding and
 // applying a 512-event batch per op through its bounded queue and worker,
 // barrier-synced. The jsonl leg decodes line by line and admits event by
-// event; the binary leg decodes one frame and admits the batch in one ring
-// transaction — the tentpole hot path. events/sec is the per-process
+// event; the binary leg decodes one frame and admits the batch under one
+// queue lock — the hot path. events/sec is the per-process
 // ceiling; allocs/op is budgeted in scripts/alloc_budget.txt.
 func BenchmarkServeIngest(b *testing.B) {
 	const instances = 8
@@ -119,12 +120,12 @@ func BenchmarkServeIngest(b *testing.B) {
 				go func() {
 					defer wg.Done()
 					run(in, i)
-					in.barrier(nil)
+					in.barrier(context.Background())
 				}()
 			}
 			wg.Wait()
 		}
-		iter() // warm slot buffers and tables so 1x runs are steady-state
+		iter() // warm the slab pool and tables so 1x runs are steady-state
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -153,7 +154,7 @@ func BenchmarkServeIngest(b *testing.B) {
 						b.Error(err)
 						return
 					}
-					in.barrier(nil) // wait out the worker, then retry
+					in.barrier(context.Background()) // wait out the worker, then retry
 				}
 			}
 		})
@@ -190,7 +191,7 @@ func BenchmarkServeIngest(b *testing.B) {
 						b.Error(err)
 						return
 					}
-					in.barrier(nil) // wait out the worker, then retry
+					in.barrier(context.Background()) // wait out the worker, then retry
 				}
 			}
 		})

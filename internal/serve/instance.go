@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -70,6 +71,26 @@ func (p OverflowPolicy) String() string {
 	return "backpressure"
 }
 
+// slabEvents is one queue slab's event capacity: a whole default binary
+// frame, so one batch admission touches at most two slabs.
+const slabEvents = wire.DefaultBatchEvents
+
+// slab is one link of an instance's ingest FIFO: up to slabEvents queued
+// events, taken from head, plus the arena their Links point into. Footers
+// are copied into the arena on admission because the decoders reuse their
+// scratch per line and per frame, while queued events outlive both.
+type slab struct {
+	evs   [slabEvents]wire.Event
+	n     int                // events admitted into evs
+	head  int                // next event to take; the slab is used up at n
+	links []packet.LinkEntry // footer arena
+	next  *slab
+}
+
+// slabPool recycles slabs across every instance in the process, so an
+// instance holds queue memory only while it has events queued.
+var slabPool = sync.Pool{New: func() any { return new(slab) }}
+
 // instance is one hosted estimator: a bounded ingest queue drained by a
 // single worker goroutine that applies events under mu, so queries see a
 // consistent table. All cross-goroutine state is guarded by mu; cond
@@ -85,10 +106,10 @@ type instance struct {
 	est core.LinkEstimator
 	le  packet.LEFrame // scratch envelope for beacon apply
 
-	queue  []wire.Event // ring buffer: [head, head+count) mod len
-	head   int
-	count  int
-	policy OverflowPolicy
+	first, last *slab // ingest FIFO: take from first, admit into last; nil when empty
+	count       int   // events queued across all slabs
+	depth       int   // QueueDepth: the bound on count
+	policy      OverflowPolicy
 
 	stats       RobustStats
 	lastAt      sim.Time    // monotone ingest clock (high-water mark)
@@ -119,7 +140,7 @@ func newInstance(name string, kind core.EstimatorKind, self packet.Addr, cfg cor
 	in := &instance{
 		name: name, kind: kind, seed: seed,
 		est:    est,
-		queue:  make([]wire.Event, queueDepth),
+		depth:  queueDepth,
 		policy: policy,
 		done:   make(chan struct{}),
 	}
@@ -128,44 +149,19 @@ func newInstance(name string, kind core.EstimatorKind, self packet.Addr, cfg cor
 	return in, nil
 }
 
-// enqueue admits one event under the overflow policy. The Links slice is
-// deep-copied into the queue slot: the decoder's scratch is reused per line,
-// but queued events outlive the line.
+// enqueue admits one event under the overflow policy.
 func (in *instance) enqueue(ev *wire.Event) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if in.closed {
-		return ErrClosed
+	if err := in.admitLocked(ev); err != nil {
+		return err
 	}
-	if in.quarantined {
-		in.stats.Quarantined++
-		return ErrQuarantined
-	}
-	if in.count == len(in.queue) {
-		if in.policy == Backpressure {
-			in.stats.Backpressured++
-			return ErrQueueFull
-		}
-		// DropOldest: evict the head slot and admit into it.
-		in.head = (in.head + 1) % len(in.queue)
-		in.count--
-		in.stats.DroppedOldest++
-		// The dropped event still counts as consumed for the barrier:
-		// Applied tracks "left the queue", whether applied or evicted.
-		in.stats.Applied++
-	}
-	slot := &in.queue[(in.head+in.count)%len(in.queue)]
-	links := slot.Links // the slot's own buffer, not the decoder's scratch
-	*slot = *ev
-	slot.Links = append(links[:0], ev.Links...)
-	in.count++
-	in.stats.Enqueued++
 	in.cond.Broadcast()
 	return nil
 }
 
 // enqueueBatch admits a run of events under one lock acquisition and one
-// worker wakeup — the binary ingest path's admission, where the ring and
+// worker wakeup — the binary ingest path's admission, where the queue and
 // barrier bookkeeping are paid once per batch instead of once per event.
 // Each event is admitted with semantics identical to enqueue (same counter
 // increments, same overflow policy, in order); on the first refusal the
@@ -176,38 +172,85 @@ func (in *instance) enqueueBatch(evs []wire.Event) (accepted int, err error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	for i := range evs {
-		if in.closed {
-			err = ErrClosed
+		if err = in.admitLocked(&evs[i]); err != nil {
 			break
 		}
-		if in.quarantined {
-			in.stats.Quarantined++
-			err = ErrQuarantined
-			break
-		}
-		if in.count == len(in.queue) {
-			if in.policy == Backpressure {
-				in.stats.Backpressured++
-				err = ErrQueueFull
-				break
-			}
-			in.head = (in.head + 1) % len(in.queue)
-			in.count--
-			in.stats.DroppedOldest++
-			in.stats.Applied++
-		}
-		slot := &in.queue[(in.head+in.count)%len(in.queue)]
-		links := slot.Links
-		*slot = evs[i]
-		slot.Links = append(links[:0], evs[i].Links...)
-		in.count++
-		in.stats.Enqueued++
 		accepted++
 	}
 	if accepted > 0 {
 		in.cond.Broadcast()
 	}
 	return accepted, err
+}
+
+// admitLocked admits one event under the overflow policy, or counts and
+// reports why not. A full queue under DropOldest evicts its oldest event to
+// make room.
+func (in *instance) admitLocked(ev *wire.Event) error {
+	if in.closed {
+		return ErrClosed
+	}
+	if in.quarantined {
+		in.stats.Quarantined++
+		return ErrQuarantined
+	}
+	if in.count == in.depth {
+		if in.policy == Backpressure {
+			in.stats.Backpressured++
+			return ErrQueueFull
+		}
+		in.popLocked()
+		in.stats.DroppedOldest++
+		// The dropped event still counts as consumed for the barrier:
+		// Applied tracks "left the queue", whether applied or evicted.
+		in.stats.Applied++
+	}
+	in.pushLocked(ev)
+	in.stats.Enqueued++
+	return nil
+}
+
+// pushLocked copies ev, footer included, onto the tail of the FIFO, taking
+// a slab from the pool when the tail slab is full (or there is none).
+func (in *instance) pushLocked(ev *wire.Event) {
+	s := in.last
+	if s == nil || s.n == slabEvents {
+		s = slabPool.Get().(*slab)
+		if in.last == nil {
+			in.first = s
+		} else {
+			in.last.next = s
+		}
+		in.last = s
+	}
+	// A growing arena leaves earlier events' Links on the old array, which
+	// stays live, unchanged, until the slab is cleared.
+	start := len(s.links)
+	s.links = append(s.links, ev.Links...)
+	slot := &s.evs[s.n]
+	*slot = *ev
+	slot.Links = s.links[start:len(s.links):len(s.links)]
+	s.n++
+	in.count++
+}
+
+// popLocked retires the head event, applied or discarded. A used-up head
+// slab is cleared before it returns to the pool, so a pooled slab
+// references no event or footer memory beyond its own arena.
+func (in *instance) popLocked() {
+	s := in.first
+	s.head++
+	in.count--
+	if s.head < s.n {
+		return
+	}
+	in.first = s.next
+	if in.first == nil {
+		in.last = nil
+	}
+	clear(s.evs[:s.n])
+	s.n, s.head, s.links, s.next = 0, 0, s.links[:0], nil
+	slabPool.Put(s)
 }
 
 // worker drains the queue, applying each event to the estimator. It holds
@@ -229,14 +272,13 @@ func (in *instance) worker() {
 			}
 			in.cond.Wait()
 		}
-		ev := &in.queue[in.head]
+		ev := &in.first.evs[in.first.head]
 		if in.quarantined {
 			in.stats.Quarantined++
 		} else {
 			in.applyLocked(ev)
 		}
-		in.head = (in.head + 1) % len(in.queue)
-		in.count--
+		in.popLocked()
 		in.stats.Applied++
 		in.cond.Broadcast()
 	}
@@ -281,52 +323,30 @@ func (in *instance) applyLocked(ev *wire.Event) {
 }
 
 // barrier blocks until every event enqueued before the call has left the
-// queue (read-your-writes for queries), the instance quarantines, or abort
-// is closed (request deadline). It reports whether the barrier was reached.
-func (in *instance) barrier(abort <-chan struct{}) bool {
+// queue (read-your-writes for queries), the instance quarantines, or ctx
+// ends (request deadline). It reports whether the barrier was reached.
+func (in *instance) barrier(ctx context.Context) bool {
 	in.mu.Lock()
+	defer in.mu.Unlock()
 	target := in.stats.Enqueued
-	for in.stats.Applied < target && !in.quarantined && !in.closed {
-		if aborted(abort) {
+	if in.stats.Applied < target && !in.quarantined && !in.closed && ctx.Done() != nil {
+		// One watcher per call: ctx's end wakes the wait below. It takes mu
+		// to broadcast, so the wakeup cannot fall between the ctx check and
+		// the Wait.
+		stop := context.AfterFunc(ctx, func() {
+			in.mu.Lock()
+			in.cond.Broadcast()
 			in.mu.Unlock()
+		})
+		defer stop()
+	}
+	for in.stats.Applied < target && !in.quarantined && !in.closed {
+		if ctx.Err() != nil {
 			return false
 		}
-		in.waitInterruptible(abort)
-	}
-	done := in.stats.Applied >= target || in.quarantined
-	in.mu.Unlock()
-	return done
-}
-
-// waitInterruptible waits on cond but also wakes when abort closes, by
-// broadcasting from a watcher goroutine. mu must be held.
-func (in *instance) waitInterruptible(abort <-chan struct{}) {
-	if abort == nil {
 		in.cond.Wait()
-		return
 	}
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-abort:
-			in.cond.Broadcast()
-		case <-stop:
-		}
-	}()
-	in.cond.Wait()
-	close(stop)
-}
-
-func aborted(abort <-chan struct{}) bool {
-	if abort == nil {
-		return false
-	}
-	select {
-	case <-abort:
-		return true
-	default:
-		return false
-	}
+	return in.stats.Applied >= target || in.quarantined
 }
 
 // pause stops the worker between events; the queue keeps admitting until
@@ -376,10 +396,10 @@ type InstanceSnapshot struct {
 }
 
 // snapshot serializes the instance. It waits for the queue to drain first
-// (bounded by abort) so the snapshot reflects every accepted event; a
+// (bounded by ctx) so the snapshot reflects every accepted event; a
 // quarantined instance snapshots its frozen state for post-mortem.
-func (in *instance) snapshot(abort <-chan struct{}) (*InstanceSnapshot, error) {
-	if !in.barrier(abort) {
+func (in *instance) snapshot(ctx context.Context) (*InstanceSnapshot, error) {
+	if !in.barrier(ctx) {
 		return nil, errors.New("serve: snapshot aborted waiting for queue drain")
 	}
 	in.mu.Lock()
@@ -433,7 +453,7 @@ func restoreInstance(snap *InstanceSnapshot, queueDepth int, policy OverflowPoli
 	in := &instance{
 		name: snap.Name, kind: snap.Kind, seed: snap.Seed,
 		est:    est,
-		queue:  make([]wire.Event, queueDepth),
+		depth:  queueDepth,
 		policy: policy,
 		stats:  stats,
 		lastAt: snap.LastAt, sawBeacon: snap.SawBeacon, lastSrc: snap.LastSrc, lastSeq: snap.LastSeq,

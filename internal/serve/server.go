@@ -14,6 +14,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -230,7 +231,7 @@ func (s *Server) SnapshotAll(ctx context.Context) ([]*InstanceSnapshot, error) {
 	sort.Slice(ins, func(i, j int) bool { return ins[i].name < ins[j].name })
 	snaps := make([]*InstanceSnapshot, 0, len(ins))
 	for _, in := range ins {
-		snap, err := in.snapshot(ctx.Done())
+		snap, err := in.snapshot(ctx)
 		if err != nil {
 			return snaps, fmt.Errorf("instance %q: %w", in.name, err)
 		}
@@ -560,7 +561,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, in *instan
 			return
 		}
 		line := sc.Bytes()
-		if len(strings.TrimSpace(string(line))) == 0 {
+		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
 		rep.Lines++
@@ -590,6 +591,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, in *instan
 	writeJSON(w, http.StatusOK, rep)
 }
 
+// aborted polls a request's done channel between ingest lines and frames.
+func aborted(abort <-chan struct{}) bool {
+	select {
+	case <-abort:
+		return true
+	default:
+		return false
+	}
+}
+
 // writeEnqueueErr maps an admission refusal onto its status — 429 with a
 // Retry-After hint for backpressure, 409 for quarantine, 503 otherwise —
 // carrying the report (everything accepted so far stays accepted) as body.
@@ -607,7 +618,7 @@ func (s *Server) writeEnqueueErr(w http.ResponseWriter, rep *ingestReport, err e
 }
 
 // handleEventsBinary is the batched binary ingest path: pooled frame
-// reader, one ring admission per batch. A malformed frame aborts the
+// reader, one queue admission per batch. A malformed frame aborts the
 // stream with 400 — binary framing cannot be resynced past a bad frame,
 // unlike JSONL's per-line skipping — but frames already admitted stay
 // admitted, and the report says how far the stream got.
@@ -665,7 +676,7 @@ type neighborView struct {
 // syncBarrier waits for read-your-writes and writes the timeout error on
 // failure; callers return immediately when it reports false.
 func (s *Server) syncBarrier(w http.ResponseWriter, r *http.Request, in *instance) bool {
-	if !in.barrier(r.Context().Done()) {
+	if !in.barrier(r.Context()) {
 		writeErr(w, http.StatusGatewayTimeout, "deadline waiting for ingest queue to drain")
 		return false
 	}
@@ -726,7 +737,7 @@ func (s *Server) handleInstanceStats(w http.ResponseWriter, in *instance) {
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, in *instance) {
-	snap, err := in.snapshot(r.Context().Done())
+	snap, err := in.snapshot(r.Context())
 	if err != nil {
 		writeErr(w, http.StatusGatewayTimeout, "snapshot: %v", err)
 		return
