@@ -43,9 +43,14 @@ func main() {
 		os.Exit(2)
 	}
 
+	win := sim.FromSeconds(*window)
+	if win <= 0 {
+		fmt.Fprintf(os.Stderr, "tracegen: -window must be positive, got %gs\n", *window)
+		os.Exit(2)
+	}
+
 	env := node.NewEnv(tp, node.DefaultEnvConfig(*seed, 0))
-	rec := trace.NewRecorder(env.Clock, env.Medium, sim.FromSeconds(*window),
-		fmt.Sprintf("%s-%s", *topoName, *proto))
+	rec := trace.NewRecorder(env, win, fmt.Sprintf("%s-%s", *topoName, *proto))
 	switch *proto {
 	case "4b":
 		node.BuildCTP(env, ctp.DefaultConfig(), core.DefaultConfig(), collect.DefaultWorkload())

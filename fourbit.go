@@ -242,16 +242,16 @@ type (
 	Trace = trace.Trace
 	// LinkTrace is the series of one directed link.
 	LinkTrace = trace.LinkTrace
-	// TraceRecorder taps a medium and windows link statistics.
+	// TraceRecorder windows per-link broadcast statistics off the probe bus.
 	TraceRecorder = trace.Recorder
 	// TraceReplayer replays a recorded link series as a channel modifier.
 	TraceReplayer = trace.Replayer
 )
 
-// NewTraceRecorder attaches a recorder to env's medium, sampling every
+// NewTraceRecorder attaches a recorder to env's probe bus, sampling every
 // window. Call Finalize after the run to obtain the trace.
 func NewTraceRecorder(env *Env, window Time, name string) *TraceRecorder {
-	return trace.NewRecorder(env.Clock, env.Medium, window, name)
+	return trace.NewRecorder(env, window, name)
 }
 
 // NewTraceReplayer builds a channel modifier that replays lt (recorded with

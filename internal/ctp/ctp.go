@@ -67,7 +67,6 @@ func DefaultConfig() Config {
 // Stats counts per-node CTP activity.
 type Stats struct {
 	Generated     uint64 // client packets accepted from the application
-	DeliveredRoot uint64 // data packets delivered at the root
 	Forwarded     uint64 // data packets passed on toward the root
 	BeaconsSent   uint64
 	ParentChanges uint64
@@ -220,7 +219,6 @@ func (n *Node) Send(data []byte) bool {
 	n.originSeq++
 	n.Stats.Generated++
 	if n.isRoot {
-		n.Stats.DeliveredRoot++
 		if n.deliver != nil {
 			n.deliver(n.self, n.originSeq, 0, data)
 		}

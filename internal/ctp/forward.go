@@ -31,7 +31,6 @@ func (n *Node) onDataFrame(f *packet.Frame, info phy.RxInfo) {
 	n.dup.add(d.Origin, d.OriginSeq, d.THL)
 
 	if n.isRoot {
-		n.Stats.DeliveredRoot++
 		if n.deliver != nil {
 			n.deliver(d.Origin, d.OriginSeq, d.THL, d.Data)
 		}

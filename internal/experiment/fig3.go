@@ -81,7 +81,7 @@ func RunFig3(cfg Fig3Config) *Fig3Result {
 	tp := topo.TutorNet(cfg.Seed)
 	env := node.NewEnv(tp, node.DefaultEnvConfig(cfg.Seed, 0))
 	net := node.BuildLQI(env, lqirouter.DefaultConfig(), collect.DefaultWorkload())
-	rec := trace.NewRecorder(env.Clock, env.Medium, cfg.Window, "fig3")
+	rec := trace.NewRecorder(env, cfg.Window, "fig3")
 
 	// Sample every node's cumulative unacked transmissions each window (P
 	// is unknown until selection time).

@@ -62,7 +62,6 @@ const noRoute = 0xFFFF
 // Stats counts per-node protocol activity.
 type Stats struct {
 	Generated     uint64
-	DeliveredRoot uint64
 	Forwarded     uint64
 	BeaconsSent   uint64
 	ParentChanges uint64
@@ -257,7 +256,6 @@ func (n *Node) Send(data []byte) bool {
 	n.originSeq++
 	n.Stats.Generated++
 	if n.isRoot {
-		n.Stats.DeliveredRoot++
 		if n.deliver != nil {
 			n.deliver(n.self, n.originSeq, 0, data)
 		}
@@ -286,7 +284,6 @@ func (n *Node) handleData(f *packet.Frame) {
 	}
 	n.dupAdd(k)
 	if n.isRoot {
-		n.Stats.DeliveredRoot++
 		if n.deliver != nil {
 			n.deliver(d.Origin, d.OriginSeq, d.HopCount, d.Data)
 		}

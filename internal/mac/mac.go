@@ -68,7 +68,6 @@ type Stats struct {
 	RxAcks      uint64
 	AckTimeouts uint64
 	CCAFailures uint64 // Sends abandoned with the channel busy
-	DecodeErr   uint64
 }
 
 // ErrBusy is returned by Send when a transmission is already in flight.
@@ -273,7 +272,6 @@ func (m *MAC) onRadioReceive(data []byte, info phy.RxInfo) {
 	// is valid only for the duration of the upcall (see Receiver).
 	f := &m.rxFrame
 	if err := packet.DecodeFrameInto(f, data); err != nil {
-		m.Stats.DecodeErr++
 		return
 	}
 	switch {

@@ -170,12 +170,20 @@ func ShardLookahead(rp phy.RadioParams, mp mac.Params) sim.Time {
 	return e
 }
 
+// MaxNodes is the largest network the 16-bit link-layer address space can
+// name: node i is addressed as packet.Addr(i), and the top two addresses
+// are packet.None and packet.Broadcast.
+const MaxNodes = int(packet.None)
+
 // NewEnv builds the environment over a topology. With Cfg.Shards >= 1 the
 // environment comes up in region-sharded mode: per-shard wheels and probe
 // buses, the medium in cross-shard handoff mode, and a ShardGroup whose
 // epoch is ShardLookahead of the configured radio and MAC. The caller
 // must drive the run through Env.Group and Close it afterwards.
 func NewEnv(t *topo.Topology, cfg EnvConfig) *Env {
+	if t.N() > MaxNodes {
+		panic(fmt.Sprintf("node: %d nodes exceed the %d-node address space", t.N(), MaxNodes))
+	}
 	for _, r := range cfg.ExtraRoots {
 		if r < 0 || r >= t.N() || r == t.Root {
 			panic(fmt.Sprintf("node: extra root %d invalid (n=%d, root=%d)", r, t.N(), t.Root))

@@ -244,3 +244,14 @@ func TestBeaconAndDataCountersAdvance(t *testing.T) {
 		t.Fatal("fewer data transmissions than deliveries; counting broken")
 	}
 }
+
+// A network larger than the 16-bit address space would hand node 65535
+// the broadcast address; NewEnv refuses it before building anything.
+func TestNewEnvRejectsAddressOverflow(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewEnv accepted a topology past the address space")
+		}
+	}()
+	NewEnv(topo.Line(MaxNodes+1, 1), DefaultEnvConfig(1, 0))
+}

@@ -67,8 +67,6 @@ type Medium struct {
 	finishFn   func(any)       // m.finishTx adapter, built once for ScheduleArg
 	prrT       []*PRRTable     // per frame length, filled lazily from the shared cache
 
-	onTransmit func(from int, data []byte)
-
 	sh *shardedMedium // nil on the serial path; see EnableSharded
 
 	Stats MediumStats
@@ -164,17 +162,6 @@ func NewMedium(clock *sim.Simulator, ch *Channel, rp RadioParams, lqip LQIParams
 
 // Radio returns the radio of node id.
 func (m *Medium) Radio(id int) *Radio { return m.radios[id] }
-
-// OnTransmit installs a measurement tap invoked for every transmission put
-// on the air (trace recording; not visible to the protocol stack). Serial
-// path only: under sharded dispatch the tap would run concurrently from
-// every shard, so the combination panics instead of racing silently.
-func (m *Medium) OnTransmit(fn func(from int, data []byte)) {
-	if m.sh != nil {
-		panic("phy: OnTransmit is incompatible with sharded dispatch")
-	}
-	m.onTransmit = fn
-}
 
 // N returns the number of radios.
 func (m *Medium) N() int { return len(m.radios) }
@@ -294,10 +281,6 @@ func (m *Medium) startTx(r *Radio, data []byte) sim.Time {
 	m.active = append(m.active, t)
 	r.transmitting = true
 	m.Stats.Transmissions++
-	r.Stats.TxFrames++
-	if m.onTransmit != nil {
-		m.onTransmit(r.id, data)
-	}
 
 	slots := m.candSlots[r.id]
 	for ci, j32 := range m.candidates[r.id] {
@@ -322,7 +305,6 @@ func (m *Medium) startTx(r *Radio, data []byte) sim.Time {
 				// Physical capture: the much stronger new signal steals the
 				// receiver; the old frame is lost and keeps interfering.
 				m.Stats.CaptureSwitches++
-				rj.Stats.DropsCollision++
 				rj.lockOn(t, pmw, m.interfMW[j]-pmw)
 			} else {
 				rj.rx.curInterfMW += pmw
@@ -400,19 +382,13 @@ func (m *Medium) finishTx(t *transmission) {
 				White: white,
 			}
 			m.Stats.Delivered++
-			rj.Stats.RxFrames++
-			if rj.snoop != nil {
-				rj.snoop(t.data, info)
-			}
 			if rj.recv != nil {
 				rj.recv(t.data, info)
 			}
 		} else if rx.maxInterfMW > noise*0.1 {
 			m.Stats.DroppedCollision++
-			rj.Stats.DropsCollision++
 		} else {
 			m.Stats.DroppedBER++
-			rj.Stats.DropsBER++
 		}
 	}
 	m.putPowBuf(t.powMW)
@@ -432,9 +408,6 @@ type Radio struct {
 	rx           *reception
 	rxBuf        reception // storage reused across receptions (rx points here)
 	recv         func(data []byte, info RxInfo)
-	snoop        func(data []byte, info RxInfo)
-
-	Stats RadioStats
 }
 
 // lockOn points the radio's receiver at transmission t, reusing the
@@ -452,25 +425,12 @@ func (r *Radio) lockOnRec(rec *shardRec, pmw, interf float64) {
 	r.rx = &r.rxBuf
 }
 
-// RadioStats count per-radio frame outcomes.
-type RadioStats struct {
-	TxFrames       uint64
-	RxFrames       uint64
-	DropsBER       uint64
-	DropsCollision uint64
-}
-
 // ID returns the node index of this radio.
 func (r *Radio) ID() int { return r.id }
 
 // OnReceive installs the frame delivery handler. The data slice is shared
 // with the sender and must be treated as immutable.
 func (r *Radio) OnReceive(fn func(data []byte, info RxInfo)) { r.recv = fn }
-
-// OnSnoop installs a measurement tap that sees every frame this radio
-// successfully receives, before the protocol handler. Used by the trace
-// recorder; must not mutate the data.
-func (r *Radio) OnSnoop(fn func(data []byte, info RxInfo)) { r.snoop = fn }
 
 // SetTxPower sets the transmit power in dBm for subsequent transmissions.
 func (r *Radio) SetTxPower(dbm float64) {

@@ -152,14 +152,10 @@ const shardRecTarget = 16
 // applies exactly E after the serial model would apply it, so epoch must
 // be small enough that every protocol deadline still clears (the MAC ack
 // round-trip is the binding constraint; internal/node derives E from it).
-// Must be called before the simulation starts; incompatible with the
-// OnTransmit trace tap, whose callback would otherwise run concurrently.
+// Must be called before the simulation starts.
 func (m *Medium) EnableSharded(clocks []*sim.Simulator, shardOf []int32, epoch sim.Time, seeds *sim.SeedSpace) {
 	if m.sh != nil {
 		panic("phy: EnableSharded called twice")
-	}
-	if m.onTransmit != nil {
-		panic("phy: sharded dispatch is incompatible with the OnTransmit trace tap")
 	}
 	n := len(m.radios)
 	if len(shardOf) != n {
@@ -277,7 +273,6 @@ func (m *Medium) startTxSharded(r *Radio, data []byte) sim.Time {
 		return air
 	}
 	st.stats.Transmissions++
-	r.Stats.TxFrames++
 	rec := st.getRec(m.powCap)
 	rec.from = int32(r.id)
 	rec.start = now
@@ -320,7 +315,6 @@ func (m *Medium) applyHand(h *shardHand) {
 		case rj.rx != nil:
 			if pmw > rj.rx.powerMW*m.captureLin && pmw >= m.sensMW {
 				st.stats.CaptureSwitches++
-				rj.Stats.DropsCollision++
 				rj.lockOnRec(rec, pmw, m.interfMW[j]-pmw)
 			} else {
 				rj.rx.curInterfMW += pmw
@@ -386,19 +380,13 @@ func (m *Medium) resolveHand(h *shardHand) {
 			lqi, white := m.lqip.Synthesize(sinrDB, rng)
 			info := RxInfo{At: now, SNRdB: sinrDB, LQI: lqi, White: white}
 			st.stats.Delivered++
-			rj.Stats.RxFrames++
-			if rj.snoop != nil {
-				rj.snoop(rec.data, info)
-			}
 			if rj.recv != nil {
 				rj.recv(rec.data, info)
 			}
 		} else if rx.maxInterfMW > noise*0.1 {
 			st.stats.DroppedCollision++
-			rj.Stats.DropsCollision++
 		} else {
 			st.stats.DroppedBER++
-			rj.Stats.DropsBER++
 		}
 	}
 	st.handFree = append(st.handFree, h)

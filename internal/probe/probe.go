@@ -267,77 +267,3 @@ func (b *Bus) Deliver(origin packet.Addr, seq uint32, hops uint8) {
 		s.OnDeliver(ev)
 	}
 }
-
-// CountSink aggregates network-wide event totals — the probe-bus view of
-// the counters the per-node Stats structs accumulate. The equivalence of
-// the two views is pinned by tests: everything the end-of-run aggregates
-// measure is observable on the bus.
-type CountSink struct {
-	BaseSink
-
-	DataTx, DataAcked uint64 // unicast transmissions on air / acked
-	BeaconTx          uint64 // broadcast transmissions on air
-	CCAGiveUps        uint64 // Sends that never reached the air
-	BeaconsSent       uint64 // network-layer beacons (≤ BeaconTx emitters)
-	ParentChanges     uint64
-	RouteLosses       uint64 // of ParentChanges: transitions to routeless
-	Inserted          uint64
-	Replaced          uint64
-	Evicted           uint64
-	Rejected          uint64
-	Generated         uint64 // application packets offered (accepted or not)
-	Refused           uint64 // of Generated: refused by the protocol
-	Delivered         uint64 // root deliveries, duplicates included
-}
-
-// OnTx implements Sink.
-func (c *CountSink) OnTx(ev TxEvent) {
-	if !ev.Sent {
-		c.CCAGiveUps++
-		return
-	}
-	if ev.Broadcast() {
-		c.BeaconTx++
-		return
-	}
-	c.DataTx++
-	if ev.Acked {
-		c.DataAcked++
-	}
-}
-
-// OnBeacon implements Sink.
-func (c *CountSink) OnBeacon(BeaconEvent) { c.BeaconsSent++ }
-
-// OnParentChange implements Sink.
-func (c *CountSink) OnParentChange(ev ParentChangeEvent) {
-	c.ParentChanges++
-	if ev.To == packet.None {
-		c.RouteLosses++
-	}
-}
-
-// OnTable implements Sink.
-func (c *CountSink) OnTable(ev TableEvent) {
-	switch ev.Op {
-	case OpInsert:
-		c.Inserted++
-	case OpReplace:
-		c.Replaced++
-	case OpEvict:
-		c.Evicted++
-	case OpReject:
-		c.Rejected++
-	}
-}
-
-// OnGenerate implements Sink.
-func (c *CountSink) OnGenerate(ev GenerateEvent) {
-	c.Generated++
-	if !ev.Accepted {
-		c.Refused++
-	}
-}
-
-// OnDeliver implements Sink.
-func (c *CountSink) OnDeliver(DeliverEvent) { c.Delivered++ }

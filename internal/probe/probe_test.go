@@ -100,35 +100,3 @@ func TestTableOpStrings(t *testing.T) {
 		}
 	}
 }
-
-func TestCountSink(t *testing.T) {
-	clock := sim.New(1)
-	b := NewBus(clock)
-	var c CountSink
-	b.Attach(&c)
-
-	b.Tx(1, 2, true, true, 1)                 // data, acked
-	b.Tx(1, 2, true, false, 1)                // data, unacked
-	b.Tx(1, packet.Broadcast, true, false, 1) // beacon
-	b.Tx(1, 2, false, false, 8)               // CSMA give-up
-	b.Beacon(1, 10, false)
-	b.ParentChange(1, 2, 3, 1.5)
-	b.ParentChange(1, 3, packet.None, 0) // route loss
-	b.Table(1, 2, OpInsert)
-	b.Table(1, 3, OpEvict)
-	b.Table(1, 4, OpReplace)
-	b.Table(1, 5, OpReject)
-	b.Generate(2, 1, true)
-	b.Generate(2, 2, false)
-	b.Deliver(2, 1, 2)
-
-	want := CountSink{
-		DataTx: 2, DataAcked: 1, BeaconTx: 1, CCAGiveUps: 1,
-		BeaconsSent: 1, ParentChanges: 2, RouteLosses: 1,
-		Inserted: 1, Evicted: 1, Replaced: 1, Rejected: 1,
-		Generated: 2, Refused: 1, Delivered: 1,
-	}
-	if c != want {
-		t.Errorf("CountSink = %+v, want %+v", c, want)
-	}
-}

@@ -12,6 +12,7 @@ import (
 	"fourbit/internal/ctp"
 	"fourbit/internal/experiment"
 	"fourbit/internal/lqirouter"
+	"fourbit/internal/node"
 	"fourbit/internal/phy"
 	"fourbit/internal/sim"
 	"fourbit/internal/topo"
@@ -518,9 +519,19 @@ func (ts *TopoSpec) validate() error {
 		if ts.N <= 1 {
 			return fmt.Errorf("topology %q needs N >= 2 nodes", ts.Kind)
 		}
+		if ts.N > node.MaxNodes {
+			return fmt.Errorf("topology %q: N = %d exceeds the %d-node address space", ts.Kind, ts.N, node.MaxNodes)
+		}
 		return nil
 	case "grid":
-		if ts.Rows <= 0 || ts.Cols <= 0 || ts.Rows*ts.Cols <= 1 {
+		if ts.Rows <= 0 || ts.Cols <= 0 {
+			return fmt.Errorf("topology grid needs Rows and Cols (>= 2 nodes)")
+		}
+		// Rows*Cols <= MaxNodes, tested without forming the product.
+		if ts.Rows > node.MaxNodes/ts.Cols {
+			return fmt.Errorf("topology grid: %d×%d exceeds the %d-node address space", ts.Rows, ts.Cols, node.MaxNodes)
+		}
+		if ts.Rows*ts.Cols <= 1 {
 			return fmt.Errorf("topology grid needs Rows and Cols (>= 2 nodes)")
 		}
 		return nil

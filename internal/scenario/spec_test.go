@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -30,6 +31,11 @@ func TestSpecValidationErrors(t *testing.T) {
 		{"unknown topology", Spec{Topology: TopoSpec{Kind: "torus"}}, "unknown topology kind"},
 		{"generated topo without N", Spec{Topology: TopoSpec{Kind: "uniform"}}, "needs N"},
 		{"grid without shape", Spec{Topology: TopoSpec{Kind: "grid"}}, "Rows and Cols"},
+		{"N past address space", Spec{Topology: TopoSpec{Kind: "uniform", N: 65535}}, "address space"},
+		{"grid past address space", Spec{Topology: TopoSpec{Kind: "grid", Rows: 256, Cols: 256}}, "address space"},
+		// Rows*Cols wraps to a small positive int.
+		{"grid product overflows int", Spec{Topology: TopoSpec{Kind: "grid", Rows: 1<<(strconv.IntSize/2) + 1, Cols: 1<<(strconv.IntSize/2) + 1}}, "address space"},
+		{"grid with one node", Spec{Topology: TopoSpec{Kind: "grid", Rows: 1, Cols: 1}}, "Rows and Cols"},
 		{"negative duration", Spec{DurationMin: -1}, "negative duration"},
 		{"negative replicates", Spec{Replicates: -2}, "negative replicates"},
 		{"negative table", Spec{TableSize: -1}, "negative estimator"},
@@ -69,6 +75,10 @@ func TestSpecValidationErrors(t *testing.T) {
 			_, err := ParseSpec([]byte(c.json))
 			wantErr(t, err, c.frag)
 		})
+	}
+	largest := Spec{Topology: TopoSpec{Kind: "grid", Rows: 2, Cols: node.MaxNodes / 2}}
+	if err := largest.Validate(); err != nil {
+		t.Fatalf("grid at the address-space bound refused: %v", err)
 	}
 	if _, err := ParseSpec([]byte("{\"Protocol\": \"4B\"}\n\t \r\n")); err != nil {
 		t.Fatalf("trailing whitespace refused: %v", err)

@@ -53,71 +53,80 @@ func TestTraceLinkIndex(t *testing.T) {
 	}
 }
 
-// ctpTraceRun runs a small CTP collection network for two simulated
-// minutes with the given recorder factory attached before boot, and
-// returns the finalized trace.
-func ctpTraceRun(t *testing.T, mk func(env *node.Env) *Recorder) *Trace {
-	t.Helper()
-	env := node.NewEnv(topo.Grid(3, 3, 8), node.DefaultEnvConfig(21, -5))
-	rec := mk(env)
+// ctpTraceRun runs a CTP collection network over tp with a recorder of
+// the given window attached before boot, and returns the finalized trace.
+func ctpTraceRun(tp *topo.Topology, window, duration sim.Time) *Trace {
+	env := node.NewEnv(tp, node.DefaultEnvConfig(21, -5))
+	rec := NewRecorder(env, window, "ctp")
 	wl := collect.DefaultWorkload()
 	wl.Period = 2 * sim.Second
 	node.BuildCTP(env, ctp.DefaultConfig(), core.DefaultConfig(), wl)
-	env.Clock.RunUntil(2 * sim.Minute)
+	env.Clock.RunUntil(duration)
 	return rec.Finalize()
 }
 
-// A probe-fed recorder must produce the identical trace to a medium-tapped
-// one: for broadcast traffic the bus re-emits exactly what the medium
-// delivers, and neither recorder perturbs the run.
-func TestRecorderProbeMatchesMediumTap(t *testing.T) {
-	window := 10 * sim.Second
-	tapped := ctpTraceRun(t, func(env *node.Env) *Recorder {
-		return NewRecorder(env.Clock, env.Medium, window, "tap")
-	})
-	probed := ctpTraceRun(t, func(env *node.Env) *Recorder {
-		return NewRecorderProbe(env.Clock, env.Probes, env.Medium.N(), window, "probe")
-	})
-
-	if len(tapped.Links) == 0 {
-		t.Fatal("medium-tapped recorder saw no links")
+// A beacon counts as sent and as received at the same instant, so no
+// window can hold more receptions than transmissions, whatever the window
+// width. Counting sends at transmission start instead would give PRR > 1
+// on this run, where beacons straddle 7 s window boundaries.
+func TestRecorderWindowsNeverReceiveMoreThanSent(t *testing.T) {
+	tr := ctpTraceRun(topo.Grid(5, 5, 6), 7*sim.Second, 5*sim.Minute)
+	if len(tr.Links) == 0 {
+		t.Fatal("no links recorded")
 	}
-	if len(tapped.Links) != len(probed.Links) {
-		t.Fatalf("link counts differ: tap %d, probe %d", len(tapped.Links), len(probed.Links))
-	}
-	for i := range tapped.Links {
-		want := &tapped.Links[i]
-		got := probed.Link(want.From, want.To)
-		if got == nil {
-			t.Fatalf("probe recorder missing link %d->%d", want.From, want.To)
-		}
-		if len(got.Samples) != len(want.Samples) {
-			t.Fatalf("link %d->%d: %d vs %d samples", want.From, want.To, len(got.Samples), len(want.Samples))
-		}
-		for k := range want.Samples {
-			if got.Samples[k] != want.Samples[k] {
-				t.Fatalf("link %d->%d sample %d: %+v vs %+v",
-					want.From, want.To, k, got.Samples[k], want.Samples[k])
+	for _, lt := range tr.Links {
+		for _, s := range lt.Samples {
+			if s.Rcvd > s.Sent {
+				t.Fatalf("link %d->%d window ending %v: %d received of %d sent",
+					lt.From, lt.To, s.At, s.Rcvd, s.Sent)
 			}
 		}
 	}
 }
 
-// The probe-fed recorder composes with other sinks on the same bus.
+// Finalize emits links in (From, To) order, so identical runs serialize
+// to identical bytes.
+func TestRecorderFinalizeSortsLinks(t *testing.T) {
+	tr := ctpTraceRun(topo.Grid(3, 3, 8), 10*sim.Second, 2*sim.Minute)
+	if len(tr.Links) < 8 {
+		t.Fatalf("only %d links recorded", len(tr.Links))
+	}
+	for i := 1; i < len(tr.Links); i++ {
+		a, b := tr.Links[i-1], tr.Links[i]
+		if a.From > b.From || a.From == b.From && a.To >= b.To {
+			t.Fatalf("links %d->%d and %d->%d out of order", a.From, a.To, b.From, b.To)
+		}
+	}
+}
+
+// The recorder refuses a sharded env, whose shards emit on separate buses
+// concurrently.
+func TestRecorderRefusesShardedEnv(t *testing.T) {
+	cfg := node.DefaultEnvConfig(1, 0)
+	cfg.Shards = 2
+	env := node.NewEnv(topo.Grid(3, 3, 8), cfg)
+	defer env.Close()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("recorder attached to a sharded env")
+		}
+	}()
+	NewRecorder(env, 10*sim.Second, "sharded")
+}
+
+// The recorder composes with other sinks on the same bus.
 func TestRecorderProbeSharesBus(t *testing.T) {
 	env := node.NewEnv(topo.Grid(3, 3, 8), node.DefaultEnvConfig(22, -5))
 	recs := make([]*Recorder, 2)
 	for i := range recs {
-		recs[i] = NewRecorderProbe(env.Clock, env.Probes, env.Medium.N(), 10*sim.Second, fmt.Sprintf("r%d", i))
+		recs[i] = NewRecorder(env, 10*sim.Second, fmt.Sprintf("r%d", i))
 	}
 	wl := collect.DefaultWorkload()
 	wl.Period = 2 * sim.Second
 	node.BuildCTP(env, ctp.DefaultConfig(), core.DefaultConfig(), wl)
-	env.Clock.RunUntil(time30s)
+	env.Clock.RunUntil(30 * sim.Second)
 	a, b := recs[0].Finalize(), recs[1].Finalize()
 	if len(a.Links) == 0 || len(a.Links) != len(b.Links) {
 		t.Fatalf("sibling recorders disagree: %d vs %d links", len(a.Links), len(b.Links))
 	}
 }
-
-const time30s = 30 * sim.Second

@@ -1,9 +1,9 @@
 // Package trace records and replays per-link reception behaviour,
-// implementing the trace-driven simulation mode: a Recorder taps the medium
-// and produces windowed PRR/LQI time series per directed link (the raw
-// material of the paper's Figure 3), and a Replayer turns a recorded link
-// series back into a channel modifier so experiments can be re-run against
-// captured link dynamics.
+// implementing the trace-driven simulation mode: a Recorder subscribes to a
+// run's probe bus and produces windowed PRR/LQI time series per directed
+// link (the raw material of the paper's Figure 3), and a Replayer turns a
+// recorded link series back into a channel modifier so experiments can be
+// re-run against captured link dynamics.
 package trace
 
 import (
@@ -11,9 +11,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 
+	"fourbit/internal/node"
 	"fourbit/internal/packet"
-	"fourbit/internal/phy"
 	"fourbit/internal/probe"
 	"fourbit/internal/sim"
 )
@@ -89,18 +90,25 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 	return &t, nil
 }
 
-// Recorder taps a medium and accumulates windowed per-link broadcast
+// Recorder is a probe sink that accumulates windowed per-link broadcast
 // reception statistics. Only broadcast (beacon) frames are counted: they
 // reach every in-range receiver, so sent-counts are comparable across
 // links; unicast sent-counts would only be meaningful for the addressee.
+//
+// A beacon counts as sent when its transmission completes and as received
+// when its receivers decode it, which the bus reports at the same instant,
+// so a window never holds receptions of a frame it did not see sent. Like
+// probe.Collector, the recorder rolls windows lazily off event timestamps:
+// it schedules nothing and cannot perturb the run.
 type Recorder struct {
+	probe.BaseSink
 	clock  *sim.Simulator
 	window sim.Time
 	name   string
+	end    sim.Time // end of the current window
 
 	links map[linkKey]*linkAcc
 	sent  []int // broadcast frames per transmitter in the current window
-	prev  []int // carried totals at window roll
 }
 
 type linkKey struct{ from, to int }
@@ -111,105 +119,71 @@ type linkAcc struct {
 	series LinkTrace
 }
 
-// NewRecorder attaches a recorder to the medium, sampling every window.
-func NewRecorder(clock *sim.Simulator, m *phy.Medium, window sim.Time, name string) *Recorder {
+// NewRecorder attaches a recorder to env's probe bus, sampling every
+// window. A sharded env is refused: its shards emit on separate buses
+// concurrently.
+func NewRecorder(env *node.Env, window sim.Time, name string) *Recorder {
+	if env.Sharded() {
+		panic("trace: recorder cannot observe a sharded env")
+	}
+	if window <= 0 {
+		panic("trace: non-positive recording window")
+	}
 	r := &Recorder{
-		clock:  clock,
+		clock:  env.Clock,
 		window: window,
 		name:   name,
+		end:    window,
 		links:  make(map[linkKey]*linkAcc),
-		sent:   make([]int, m.N()),
+		sent:   make([]int, env.Medium.N()),
 	}
-	m.OnTransmit(func(from int, data []byte) {
-		f, err := packet.DecodeFrame(data)
-		if err != nil || f.Dst != packet.Broadcast {
-			return
-		}
-		r.sent[from]++
-	})
-	for i := 0; i < m.N(); i++ {
-		to := i
-		m.Radio(i).OnSnoop(func(data []byte, info phy.RxInfo) {
-			f, err := packet.DecodeFrame(data)
-			if err != nil || f.Dst != packet.Broadcast {
-				return
-			}
-			r.note(int(f.Src), to, info.LQI)
-		})
-	}
-	clock.Every(window, window, r.roll)
+	env.Probes.Attach(r)
 	return r
-}
-
-// NewRecorderProbe attaches a recorder to the run's probe bus instead of
-// tapping the medium directly: broadcast transmissions arrive as TxEvents,
-// receptions as RxEvents. For broadcast (beacon) traffic the two taps see
-// the same frames — the medium delivers every decodable broadcast to every
-// in-range MAC, which is exactly what the bus re-emits — so a probe-fed
-// recorder produces the identical Trace (pinned by test). n is the number
-// of nodes (transmitter slots).
-func NewRecorderProbe(clock *sim.Simulator, bus *probe.Bus, n int, window sim.Time, name string) *Recorder {
-	r := &Recorder{
-		clock:  clock,
-		window: window,
-		name:   name,
-		links:  make(map[linkKey]*linkAcc),
-		sent:   make([]int, n),
-	}
-	bus.Attach(recorderSink{r: r})
-	clock.Every(window, window, r.roll)
-	return r
-}
-
-// recorderSink adapts a Recorder to the probe bus (BaseSink supplies the
-// no-ops for the events a trace does not consume).
-type recorderSink struct {
-	probe.BaseSink
-	r *Recorder
 }
 
 // OnTx implements probe.Sink: broadcast frames on air count as sent.
-func (s recorderSink) OnTx(ev probe.TxEvent) {
+func (r *Recorder) OnTx(ev probe.TxEvent) {
+	r.advance(ev.At)
 	if ev.Sent && ev.Broadcast() {
-		s.r.sent[ev.Node]++
+		r.sent[ev.Node]++
 	}
 }
 
 // OnRx implements probe.Sink: broadcast receptions count toward the link.
-func (s recorderSink) OnRx(ev probe.RxEvent) {
-	if ev.Dest == packet.Broadcast {
-		s.r.note(int(ev.Src), int(ev.Node), ev.LQI)
+func (r *Recorder) OnRx(ev probe.RxEvent) {
+	r.advance(ev.At)
+	if ev.Dest != packet.Broadcast {
+		return
 	}
-}
-
-func (r *Recorder) note(from, to int, lqi uint8) {
-	k := linkKey{from, to}
+	k := linkKey{int(ev.Src), int(ev.Node)}
 	acc := r.links[k]
 	if acc == nil {
-		acc = &linkAcc{series: LinkTrace{From: from, To: to}}
+		acc = &linkAcc{series: LinkTrace{From: k.from, To: k.to}}
 		r.links[k] = acc
 	}
 	acc.rcvd++
-	acc.lqiSum += float64(lqi)
+	acc.lqiSum += float64(ev.LQI)
 }
 
-// roll closes the current window into samples on every observed link.
-func (r *Recorder) roll() {
-	now := r.clock.Now()
-	sentDelta := make([]int, len(r.sent))
-	if r.prev == nil {
-		r.prev = make([]int, len(r.sent))
+// advance closes the current window if at lies past it. Windows after it
+// up to at saw no events, so they produce no samples and are skipped.
+func (r *Recorder) advance(at sim.Time) {
+	if at < r.end {
+		return
 	}
-	for i := range r.sent {
-		sentDelta[i] = r.sent[i] - r.prev[i]
-		r.prev[i] = r.sent[i]
-	}
+	r.roll(r.end)
+	r.end = (at/r.window + 1) * r.window
+}
+
+// roll closes the current window, stamped at, into samples on every
+// observed link.
+func (r *Recorder) roll(at sim.Time) {
 	for k, acc := range r.links {
-		sent := sentDelta[k.from]
+		sent := r.sent[k.from]
 		if sent == 0 && acc.rcvd == 0 {
 			continue
 		}
-		s := Sample{At: now, Sent: sent, Rcvd: acc.rcvd}
+		s := Sample{At: at, Sent: sent, Rcvd: acc.rcvd}
 		if acc.rcvd > 0 {
 			s.MeanLQI = acc.lqiSum / float64(acc.rcvd)
 		}
@@ -217,17 +191,25 @@ func (r *Recorder) roll() {
 		acc.rcvd = 0
 		acc.lqiSum = 0
 	}
+	clear(r.sent)
 }
 
-// Finalize closes the pending window and returns the assembled trace.
+// Finalize closes the pending window (stamped at the current time) and
+// returns the assembled trace, links sorted by (From, To).
 func (r *Recorder) Finalize() *Trace {
-	r.roll()
+	now := r.clock.Now()
+	r.advance(now)
+	r.roll(now)
 	t := &Trace{Name: r.name, Window: r.window}
 	for _, acc := range r.links {
 		if len(acc.series.Samples) > 0 {
 			t.Links = append(t.Links, acc.series)
 		}
 	}
+	sort.Slice(t.Links, func(i, j int) bool {
+		a, b := t.Links[i], t.Links[j]
+		return a.From < b.From || a.From == b.From && a.To < b.To
+	})
 	return t
 }
 

@@ -5,50 +5,54 @@ import (
 	"math"
 	"testing"
 
+	"fourbit/internal/mac"
+	"fourbit/internal/node"
 	"fourbit/internal/packet"
 	"fourbit/internal/phy"
 	"fourbit/internal/sim"
 	"fourbit/internal/topo"
 )
 
-// beaconNet builds a 2-node medium where node 0 broadcasts periodically.
-func beaconNet(seed uint64, spacing float64) (*sim.Simulator, *phy.Medium) {
-	clock := sim.New(seed)
-	p := phy.DefaultParams()
+// beaconNet builds a 2-node env over a quiet channel with a MAC on each
+// node, so frames reach the recorder as probe-bus events.
+func beaconNet(seed uint64, spacing float64) (*node.Env, []*mac.MAC) {
+	cfg := node.DefaultEnvConfig(seed, 0)
+	p := &cfg.Phy
 	p.ShadowSigmaDB, p.TxVarSigmaDB, p.FadeSigmaDB, p.NoiseDriftSigmaDB = 0, 0, 0, 0
 	p.NoiseBurstAmpDB = 0
 	p.PacketJitterSigmaDB = 0
-	seeds := sim.NewSeedSpace(seed)
-	ch := phy.PrecomputeGeo(topo.Line(2, spacing), p).NewChannel(seeds)
-	m := phy.NewMedium(clock, ch, phy.DefaultRadioParams(), phy.DefaultLQIParams(), seeds)
-	return clock, m
+	env := node.NewEnv(topo.Line(2, spacing), cfg)
+	macs := make([]*mac.MAC, 2)
+	for i := range macs {
+		macs[i] = mac.New(env.Clock, env.Medium.Radio(i), packet.Addr(i), cfg.MAC, env.Seeds.Stream("mac"))
+	}
+	return env, macs
 }
 
-func broadcastLoop(clock *sim.Simulator, m *phy.Medium, from int, period sim.Time) {
-	f := &packet.Frame{
-		Type:    packet.TypeBeacon,
-		Src:     packet.Addr(from),
-		Dst:     packet.Broadcast,
-		Payload: make([]byte, 30), // realistic beacon length
-	}
-	enc, err := f.Encode()
-	if err != nil {
-		panic(err)
-	}
+// sendLoop has m send a copy of f every period, skipping ticks while a
+// previous send is still in flight.
+func sendLoop(clock *sim.Simulator, m *mac.MAC, f packet.Frame, period sim.Time) {
 	clock.Every(period, period, func() {
-		if !m.Radio(from).Transmitting() {
-			m.Radio(from).Transmit(enc)
+		if m.Busy() {
+			return
+		}
+		fr := f
+		if err := m.Send(&fr, nil); err != nil {
+			panic(err)
 		}
 	})
 }
 
+// beacon is a broadcast frame of realistic beacon length from node 0.
+var beacon = packet.Frame{Type: packet.TypeBeacon, Src: 0, Dst: packet.Broadcast, Payload: make([]byte, 30)}
+
 func TestRecorderCapturesCleanLink(t *testing.T) {
-	clock, m := beaconNet(1, 10)
-	rec := NewRecorder(clock, m, 10*sim.Second, "clean")
-	broadcastLoop(clock, m, 0, sim.Second)
+	env, macs := beaconNet(1, 10)
+	rec := NewRecorder(env, 10*sim.Second, "clean")
+	sendLoop(env.Clock, macs[0], beacon, sim.Second)
 	// Run past the minute boundary so the last beacon's reception (airtime
 	// later) is dispatched before the trace is finalized.
-	clock.RunUntil(60*sim.Second + 600*sim.Millisecond)
+	env.Clock.RunUntil(60*sim.Second + 600*sim.Millisecond)
 	tr := rec.Finalize()
 
 	lt := tr.Link(0, 1)
@@ -75,10 +79,10 @@ func TestRecorderCapturesCleanLink(t *testing.T) {
 }
 
 func TestRecorderCapturesLossyLink(t *testing.T) {
-	clock, m := beaconNet(2, 55) // grey region
-	rec := NewRecorder(clock, m, 10*sim.Second, "grey")
-	broadcastLoop(clock, m, 0, 200*sim.Millisecond)
-	clock.RunUntil(2 * sim.Minute)
+	env, macs := beaconNet(2, 55) // grey region
+	rec := NewRecorder(env, 10*sim.Second, "grey")
+	sendLoop(env.Clock, macs[0], beacon, 200*sim.Millisecond)
+	env.Clock.RunUntil(2 * sim.Minute)
 	tr := rec.Finalize()
 	lt := tr.Link(0, 1)
 	if lt == nil {
@@ -96,16 +100,14 @@ func TestRecorderCapturesLossyLink(t *testing.T) {
 }
 
 func TestRecorderCountsUnicastOut(t *testing.T) {
-	clock, m := beaconNet(3, 10)
-	rec := NewRecorder(clock, m, 10*sim.Second, "unicast")
-	f := &packet.Frame{Type: packet.TypeData, Src: 0, Dst: 1}
-	enc, _ := f.Encode()
-	clock.Every(sim.Second, sim.Second, func() {
-		if !m.Radio(0).Transmitting() {
-			m.Radio(0).Transmit(enc)
-		}
-	})
-	clock.RunUntil(30 * sim.Second)
+	env, macs := beaconNet(3, 10)
+	rec := NewRecorder(env, 10*sim.Second, "unicast")
+	data := packet.Frame{Type: packet.TypeData, Src: 0, Dst: 1, AckRequest: true}
+	sendLoop(env.Clock, macs[0], data, sim.Second)
+	env.Clock.RunUntil(30 * sim.Second)
+	if macs[1].Stats.RxData == 0 {
+		t.Fatal("no unicast traffic reached the receiver")
+	}
 	if tr := rec.Finalize(); len(tr.Links) != 0 {
 		t.Fatal("unicast traffic leaked into the broadcast trace")
 	}
@@ -194,10 +196,10 @@ func TestReplayerSilentWindowIsNotLoss(t *testing.T) {
 func TestRecorderReplayerEndToEnd(t *testing.T) {
 	// Record a grey link, then replay it onto a clean link and verify the
 	// replayed PRR matches the recording.
-	clock, m := beaconNet(4, 55)
-	rec := NewRecorder(clock, m, 5*sim.Second, "e2e")
-	broadcastLoop(clock, m, 0, 100*sim.Millisecond)
-	clock.RunUntil(2 * sim.Minute)
+	env, macs := beaconNet(4, 55)
+	rec := NewRecorder(env, 5*sim.Second, "e2e")
+	sendLoop(env.Clock, macs[0], beacon, 100*sim.Millisecond)
+	env.Clock.RunUntil(2 * sim.Minute)
 	tr := rec.Finalize()
 	lt := tr.Link(0, 1)
 	var sent, rcvd int
@@ -207,28 +209,29 @@ func TestRecorderReplayerEndToEnd(t *testing.T) {
 	}
 	recordedPRR := float64(rcvd) / float64(sent)
 
-	// Replay onto a 10 m (perfect) link.
-	clock2, m2 := beaconNet(5, 10)
+	// Replay onto a 10 m (perfect) link: node 0 sends only the beacons the
+	// replayer lets through.
+	env2, macs2 := beaconNet(5, 10)
 	rp, err := NewReplayer(lt, 5*sim.Second, sim.NewRand(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Install via the channel of the new medium.
 	got := 0
-	m2.Radio(1).OnReceive(func([]byte, phy.RxInfo) { got++ })
+	macs2[1].OnReceive(func(*packet.Frame, phy.RxInfo) { got++ })
 	sentCount := 0
-	f := &packet.Frame{Type: packet.TypeBeacon, Src: 0, Dst: packet.Broadcast}
-	enc, _ := f.Encode()
-	clock2.Every(sim.Second, 100*sim.Millisecond, func() {
-		if m2.Radio(0).Transmitting() {
+	env2.Clock.Every(sim.Second, 100*sim.Millisecond, func() {
+		if macs2[0].Busy() {
 			return
 		}
-		if rp.ExtraLossDB(clock2.Now()) == 0 {
-			m2.Radio(0).Transmit(enc) // delivered: the 10 m link is clean
+		if rp.ExtraLossDB(env2.Clock.Now()) == 0 {
+			fr := beacon
+			if err := macs2[0].Send(&fr, nil); err != nil {
+				panic(err)
+			}
 		}
 		sentCount++
 	})
-	clock2.RunUntil(2 * sim.Minute)
+	env2.Clock.RunUntil(2 * sim.Minute)
 	replayPRR := float64(got) / float64(sentCount)
 	if math.Abs(replayPRR-recordedPRR) > 0.12 {
 		t.Fatalf("replayed PRR %.3f vs recorded %.3f", replayPRR, recordedPRR)
