@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEvent -fuzztime 5s ./internal/serve/wire
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWireBatch -fuzztime 5s ./internal/serve/wire
 	$(GO) test -run '^$$' -fuzz FuzzRestoreSnapshot -fuzztime 5s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzCreateInstance -fuzztime 5s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 5s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzParseSweep -fuzztime 5s ./internal/scenario
 

@@ -31,9 +31,9 @@ const (
 )
 
 // skipInShort gates the multi-second figure and ablation benches out of
-// short mode, leaving a fast smoke — BenchmarkSimulatedMinuteCTP plus the
-// micro-benches — that CI runs on every PR (`go test -short -bench .`) so
-// hot-path regressions surface without a multi-minute job.
+// short mode, leaving a fast smoke — BenchmarkSimulatedMinuteCTP/LQI plus
+// the micro-benches — that CI runs on every PR (`go test -short -bench .`)
+// so hot-path regressions surface without a multi-minute job.
 func skipInShort(b *testing.B) {
 	if testing.Short() {
 		b.Skip("multi-second figure bench; skipped in -short (CI smoke)")
@@ -457,6 +457,18 @@ func BenchmarkSimulatedMinuteCTP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tp := topo.Mirage(1)
 		rc := experiment.DefaultRunConfig(experiment.Proto4B, tp, uint64(i+1))
+		rc.Duration = 1 * sim.Minute
+		rc.Warmup = 30 * sim.Second
+		experiment.Run(rc)
+	}
+}
+
+func BenchmarkSimulatedMinuteLQI(b *testing.B) {
+	// The same minute on the same Mirage network under MultiHopLQI: the
+	// other router through the one build loop.
+	for i := 0; i < b.N; i++ {
+		tp := topo.Mirage(1)
+		rc := experiment.DefaultRunConfig(experiment.ProtoMultiHopLQI, tp, uint64(i+1))
 		rc.Duration = 1 * sim.Minute
 		rc.Warmup = 30 * sim.Second
 		experiment.Run(rc)

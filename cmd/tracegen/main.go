@@ -53,9 +53,9 @@ func main() {
 	rec := trace.NewRecorder(env, win, fmt.Sprintf("%s-%s", *topoName, *proto))
 	switch *proto {
 	case "4b":
-		node.BuildCTP(env, ctp.DefaultConfig(), core.DefaultConfig(), collect.DefaultWorkload())
+		node.Build(env, node.CTP(ctp.DefaultConfig(), core.DefaultConfig(), core.KindFourBit), collect.DefaultWorkload())
 	case "lqi":
-		node.BuildLQI(env, lqirouter.DefaultConfig(), collect.DefaultWorkload())
+		node.Build(env, node.LQI(lqirouter.DefaultConfig()), collect.DefaultWorkload())
 	default:
 		fmt.Fprintf(os.Stderr, "tracegen: unknown proto %q\n", *proto)
 		os.Exit(2)

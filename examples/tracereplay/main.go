@@ -25,8 +25,11 @@ func main() {
 	ge := fourbit.NewGilbertElliott(50, 4*fourbit.Second, 4*fourbit.Second, 5)
 	env.Chan.SetModifierBoth(1, 2, ge)
 
+	// One CTP router per node over the four-bit estimator; node.Build wires
+	// every layer and starts the collection traffic.
+	newRouter := node.CTP(ctp.DefaultConfig(), fourbit.DefaultEstimatorConfig(), fourbit.KindFourBit)
 	rec := fourbit.NewTraceRecorder(env, 30*fourbit.Second, "line-capture")
-	net := node.BuildCTP(env, ctp.DefaultConfig(), fourbit.DefaultEstimatorConfig(), collect.DefaultWorkload())
+	net := node.Build(env, newRouter, collect.DefaultWorkload())
 	env.Clock.RunUntil(10 * fourbit.Minute)
 	tr := rec.Finalize()
 
@@ -66,7 +69,7 @@ func main() {
 	env2.Chan.SetModifier(1, 2, rp)
 
 	rec2 := fourbit.NewTraceRecorder(env2, 30*fourbit.Second, "replay")
-	node.BuildCTP(env2, ctp.DefaultConfig(), fourbit.DefaultEstimatorConfig(), collect.DefaultWorkload())
+	node.Build(env2, newRouter, collect.DefaultWorkload())
 	env2.Clock.RunUntil(10 * fourbit.Minute)
 	tr2 := rec2.Finalize()
 

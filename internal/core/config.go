@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"fourbit/internal/packet"
+)
 
 // Config parameterizes the estimators. The defaults are the paper's: a
 // 10-entry table, unicast window ku=5, beacon window kb=2, and EWMA weights
@@ -62,6 +66,11 @@ func DefaultConfig() Config {
 // back to when Config.MAWindow is zero.
 const defaultMAWindow = 5
 
+// MaxTableSize bounds Config.TableSize: a table cannot hold more distinct
+// neighbours than the 16-bit address space names, and the table allocates
+// its full capacity on first insert.
+const MaxTableSize = int(packet.None)
+
 // Validate reports the first structural problem with the configuration.
 // Estimator constructors call it (construction panics or errors on an
 // invalid config), and scenario spec validation calls it before a run is
@@ -71,6 +80,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.TableSize <= 0:
 		return fmt.Errorf("core: TableSize %d must be positive", c.TableSize)
+	case c.TableSize > MaxTableSize:
+		return fmt.Errorf("core: TableSize %d exceeds the %d-neighbour address space", c.TableSize, MaxTableSize)
 	case c.UnicastWindow <= 0:
 		return fmt.Errorf("core: UnicastWindow %d must be positive", c.UnicastWindow)
 	case c.BeaconWindow <= 0:

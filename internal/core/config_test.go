@@ -18,6 +18,9 @@ func TestConfigValidate(t *testing.T) {
 		{"default", func(c *Config) {}, ""},
 		{"zero table", func(c *Config) { c.TableSize = 0 }, "TableSize"},
 		{"negative table", func(c *Config) { c.TableSize = -3 }, "TableSize"},
+		{"table past address space", func(c *Config) { c.TableSize = MaxTableSize + 1 }, "TableSize"},
+		{"table of two billion", func(c *Config) { c.TableSize = 2000000000 }, "TableSize"},
+		{"table at address space", func(c *Config) { c.TableSize = MaxTableSize }, ""},
 		{"zero unicast window", func(c *Config) { c.UnicastWindow = 0 }, "UnicastWindow"},
 		{"zero beacon window", func(c *Config) { c.BeaconWindow = 0 }, "BeaconWindow"},
 		{"negative ma window", func(c *Config) { c.MAWindow = -1 }, "MAWindow"},

@@ -91,7 +91,7 @@ func time30s() sim.Time { return 30 * sim.Second }
 func TestDataDeliveryAndAckBitFeedback(t *testing.T) {
 	r := newRig(t, 3, [][2]float64{{0, 0}, {30, 0}}, DefaultConfig())
 	var got [][]byte
-	r.nodes[0].OnDeliver(func(origin packet.Addr, seq uint8, thl uint8, data []byte) {
+	r.nodes[0].OnDeliver(func(origin packet.Addr, thl uint8, data []byte) {
 		if origin != 1 {
 			t.Errorf("origin = %v", origin)
 		}
@@ -149,7 +149,7 @@ func TestSendBeforeStartRefused(t *testing.T) {
 func TestRootLoopback(t *testing.T) {
 	r := newRig(t, 6, [][2]float64{{0, 0}, {30, 0}}, DefaultConfig())
 	delivered := 0
-	r.nodes[0].OnDeliver(func(packet.Addr, uint8, uint8, []byte) { delivered++ })
+	r.nodes[0].OnDeliver(func(packet.Addr, uint8, []byte) { delivered++ })
 	r.startAll()
 	r.clock.RunUntil(sim.Second)
 	if !r.nodes[0].Send([]byte{9}) || delivered != 1 {
@@ -234,7 +234,7 @@ func TestTHLCapDropsAncientPackets(t *testing.T) {
 func TestDuplicateSuppressionEndToEnd(t *testing.T) {
 	r := newRig(t, 11, [][2]float64{{0, 0}, {30, 0}}, DefaultConfig())
 	delivered := 0
-	r.nodes[0].OnDeliver(func(packet.Addr, uint8, uint8, []byte) { delivered++ })
+	r.nodes[0].OnDeliver(func(packet.Addr, uint8, []byte) { delivered++ })
 	r.startAll()
 	r.clock.RunUntil(10 * sim.Second)
 	// Deliver the same forged frame to the root twice (a link-layer dup).

@@ -78,8 +78,10 @@ type Stats struct {
 	DropsTHL      uint64
 }
 
-// Deliver is the root's upward delivery callback.
-type Deliver func(origin packet.Addr, originSeq uint8, thl uint8, data []byte)
+// Deliver is the root's upward delivery callback; thl (time has lived) is
+// the packet's hop count. It is an alias, not a named type, so CTP and
+// MultiHopLQI nodes share one OnDeliver signature.
+type Deliver = func(origin packet.Addr, thl uint8, data []byte)
 
 // routeEntry is what we know about a neighbor's advertised route. Entries
 // live in a dense array indexed by neighbor address (addresses are small
@@ -220,7 +222,7 @@ func (n *Node) Send(data []byte) bool {
 	n.Stats.Generated++
 	if n.isRoot {
 		if n.deliver != nil {
-			n.deliver(n.self, n.originSeq, 0, data)
+			n.deliver(n.self, 0, data)
 		}
 		return true
 	}

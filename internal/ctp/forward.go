@@ -32,7 +32,7 @@ func (n *Node) onDataFrame(f *packet.Frame, info phy.RxInfo) {
 
 	if n.isRoot {
 		if n.deliver != nil {
-			n.deliver(d.Origin, d.OriginSeq, d.THL, d.Data)
+			n.deliver(d.Origin, d.THL, d.Data)
 		}
 		return
 	}

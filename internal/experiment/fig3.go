@@ -80,7 +80,7 @@ func RunFig3(cfg Fig3Config) *Fig3Result {
 	}
 	tp := topo.TutorNet(cfg.Seed)
 	env := node.NewEnv(tp, node.DefaultEnvConfig(cfg.Seed, 0))
-	net := node.BuildLQI(env, lqirouter.DefaultConfig(), collect.DefaultWorkload())
+	net := node.Build(env, node.LQI(lqirouter.DefaultConfig()), collect.DefaultWorkload())
 	rec := trace.NewRecorder(env, cfg.Window, "fig3")
 
 	// Sample every node's cumulative unacked transmissions each window (P
@@ -102,14 +102,14 @@ func RunFig3(cfg Fig3Config) *Fig3Result {
 	// Parent stability snapshot ahead of selection.
 	early := make([]packet.Addr, nodes)
 	env.Clock.At(cfg.SelectAt-10*sim.Minute, func() {
-		for i, nd := range net.Nodes {
+		for i, nd := range net.Routers {
 			early[i] = nd.Parent()
 		}
 	})
 
 	res := &Fig3Result{P: -1, C: -1}
 	env.Clock.At(cfg.SelectAt, func() {
-		for i, nd := range net.Nodes {
+		for i, nd := range net.Routers {
 			if i == tp.Root {
 				continue
 			}
@@ -122,7 +122,7 @@ func RunFig3(cfg Fig3Config) *Fig3Result {
 		}
 		if res.P < 0 {
 			// No stable pair (tiny test runs): fall back to any routed node.
-			for i, nd := range net.Nodes {
+			for i, nd := range net.Routers {
 				if i != tp.Root && nd.Parent() != packet.None {
 					res.P, res.C = i, int(nd.Parent())
 					break

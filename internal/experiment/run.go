@@ -303,55 +303,25 @@ func Run(rc RunConfig) *Result {
 		rc.EnvMutate(env)
 	}
 
-	var parents func() []int
-	var dataTx, beaconTx func() uint64
-	var estStats func() core.Stats
-	var finalize func() *collect.Ledger
-
+	var newRouter node.RouterFunc
 	if rc.Protocol == ProtoMultiHopLQI {
-		lqiCfg := lqirouter.DefaultConfig()
-		if rc.LQI != nil {
-			lqiCfg = *rc.LQI
-		}
-		net := node.BuildLQI(env, lqiCfg, rc.Workload)
-		parents, finalize = net.Parents, net.FinalizeLedger
-		dataTx, beaconTx = net.DataTransmissions, net.BeaconTransmissions
+		// MultiHopLQI carries its estimation inline; a selector set on a
+		// directly-built RunConfig is unused and must not label the result
+		// (scenario validation rejects the combination upstream).
+		rc.Estimator = ""
+		newRouter = node.LQI(orDefault(rc.LQI, lqirouter.DefaultConfig()))
 	} else {
-		ctpCfg := ctp.DefaultConfig()
-		if rc.CTP != nil {
-			ctpCfg = *rc.CTP
-		}
-		estCfg := estConfig(rc.Protocol)
-		if rc.Est != nil {
-			estCfg = *rc.Est
-		}
-		net := node.BuildCTPKind(env, ctpCfg, estCfg, rc.Estimator, rc.Workload)
-		parents, finalize = net.Parents, net.FinalizeLedger
-		dataTx, beaconTx = net.DataTransmissions, net.BeaconTransmissions
-		estStats = func() core.Stats { return core.SumStats(net.Ests) }
+		newRouter = node.CTP(orDefault(rc.CTP, ctp.DefaultConfig()),
+			orDefault(rc.Est, estConfig(rc.Protocol)), rc.Estimator)
 	}
+	net := node.Build(env, newRouter, rc.Workload)
 
-	// Depth accounting generalizes to multi-sink runs; single-sink runs
-	// keep calling the original single-root helpers byte-for-byte.
 	roots := env.Roots()
-	depthsOf := func(p []int) []int {
-		if len(roots) > 1 {
-			return metrics.TreeDepthsMulti(p, roots)
-		}
-		return metrics.TreeDepths(p, rc.Topo.Root)
-	}
-	meanOf := func(depths []int) (float64, int, int) {
-		if len(roots) > 1 {
-			return metrics.MeanDepthMulti(depths, roots)
-		}
-		return metrics.MeanDepth(depths, rc.Topo.Root)
-	}
-
 	var depthSum float64
 	var depthSamples int
 	sampler := func() {
-		depths := depthsOf(parents())
-		mean, connected, _ := meanOf(depths)
+		depths := metrics.TreeDepths(net.Parents(), roots...)
+		mean, connected, _ := metrics.MeanDepth(depths, roots...)
 		if connected > 0 {
 			depthSum += mean
 			depthSamples++
@@ -380,25 +350,18 @@ func Run(rc RunConfig) *Result {
 		env.Clock.Every(rc.Warmup, rc.SampleEvery, sampler)
 		env.Clock.RunUntil(rc.Duration)
 	}
-	ledger := finalize()
+	ledger := net.FinalizeLedger()
 
-	estKind := rc.Estimator
-	if rc.Protocol == ProtoMultiHopLQI {
-		// MultiHopLQI carries its estimation inline; a selector set on a
-		// directly-built RunConfig was not used and must not label the
-		// result (scenario validation rejects the combination upstream).
-		estKind = ""
-	}
 	res := &Result{
 		Protocol:   rc.Protocol,
-		Estimator:  estKind,
+		Estimator:  rc.Estimator,
 		TxPowerDBm: rc.TxPowerDBm,
 		Duration:   rc.Duration,
 		Generated:  ledger.Generated(),
 		Unique:     ledger.Unique(),
 		Duplicates: ledger.Duplicates(),
-		DataTx:     dataTx(),
-		BeaconTx:   beaconTx(),
+		DataTx:     net.DataTransmissions(),
+		BeaconTx:   net.BeaconTransmissions(),
 		MeanHops:   ledger.MeanHops(),
 		Events:     env.Clock.Events(),
 	}
@@ -415,23 +378,31 @@ func Run(rc RunConfig) *Result {
 	if res.Unique > 0 {
 		res.Cost = float64(res.DataTx) / float64(res.Unique)
 	}
-	res.FinalParents = parents()
-	res.FinalDepths = depthsOf(res.FinalParents)
+	res.FinalParents = net.Parents()
+	res.FinalDepths = metrics.TreeDepths(res.FinalParents, roots...)
 	if depthSamples > 0 {
 		res.MeanDepth = depthSum / float64(depthSamples)
 	} else {
-		res.MeanDepth, _, _ = meanOf(res.FinalDepths)
+		res.MeanDepth, _, _ = metrics.MeanDepth(res.FinalDepths, roots...)
 	}
-	_, _, res.Detached = meanOf(res.FinalDepths)
-	if estStats != nil {
-		s := estStats()
-		res.EstInserted, res.EstReplaced, res.EstRejected = s.Inserted, s.Replaced, s.RejectedFull
-		res.EstBeaconsIn, res.EstLotteryWins = s.BeaconsIn, s.LotteryWins
-		res.EstBeaconWin, res.EstUnicastWin = s.BeaconWindows, s.UnicastWindows
-		res.EstAgedMisses = s.AgedMisses
-	}
+	_, _, res.Detached = metrics.MeanDepth(res.FinalDepths, roots...)
+	// MultiHopLQI has no estimators (net.Ests is nil), so its counters
+	// sum to zero.
+	s := core.SumStats(net.Ests)
+	res.EstInserted, res.EstReplaced, res.EstRejected = s.Inserted, s.Replaced, s.RejectedFull
+	res.EstBeaconsIn, res.EstLotteryWins = s.BeaconsIn, s.LotteryWins
+	res.EstBeaconWin, res.EstUnicastWin = s.BeaconWindows, s.UnicastWindows
+	res.EstAgedMisses = s.AgedMisses
 	if timeline != nil {
 		res.Timeline = timeline.Finalize(env.Clock.Now())
 	}
 	return res
+}
+
+// orDefault returns *p, or def when p is nil.
+func orDefault[T any](p *T, def T) T {
+	if p != nil {
+		return *p
+	}
+	return def
 }

@@ -169,7 +169,7 @@ func TestDataForwardingAndDupSuppression(t *testing.T) {
 	cfg.BeaconPeriod = 2 * sim.Second
 	r := newRig(t, 8, [][2]float64{{0, 0}, {30, 0}}, cfg)
 	delivered := 0
-	r.nodes[0].OnDeliver(func(origin packet.Addr, seq uint16, hops uint8, data []byte) {
+	r.nodes[0].OnDeliver(func(origin packet.Addr, hops uint8, data []byte) {
 		delivered++
 	})
 	r.startAll()

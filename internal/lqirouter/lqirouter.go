@@ -71,8 +71,9 @@ type Stats struct {
 	DropsHops     uint64
 }
 
-// Deliver is the root's delivery callback.
-type Deliver func(origin packet.Addr, originSeq uint16, hops uint8, data []byte)
+// Deliver is the root's delivery callback. It is an alias, not a named
+// type, so CTP and MultiHopLQI nodes share one OnDeliver signature.
+type Deliver = func(origin packet.Addr, hops uint8, data []byte)
 
 // Node is one MultiHopLQI instance.
 type Node struct {
@@ -257,7 +258,7 @@ func (n *Node) Send(data []byte) bool {
 	n.Stats.Generated++
 	if n.isRoot {
 		if n.deliver != nil {
-			n.deliver(n.self, n.originSeq, 0, data)
+			n.deliver(n.self, 0, data)
 		}
 		return true
 	}
@@ -285,7 +286,7 @@ func (n *Node) handleData(f *packet.Frame) {
 	n.dupAdd(k)
 	if n.isRoot {
 		if n.deliver != nil {
-			n.deliver(d.Origin, d.OriginSeq, d.HopCount, d.Data)
+			n.deliver(d.Origin, d.HopCount, d.Data)
 		}
 		return
 	}

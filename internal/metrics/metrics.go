@@ -149,60 +149,11 @@ func (s *Series) WindowMean(t0, t1 float64) float64 {
 
 // TreeDepths computes each node's hop distance to its tree root by
 // following parent pointers. parents[i] is the parent index of node i, -1
-// for "no parent". Nodes on loops or detached from a root get depth -1.
-// roots are flagged by parent == -2 by convention of the caller, or simply
-// depth 0 when parents[i] == -1 and i == root.
-func TreeDepths(parents []int, root int) []int {
-	n := len(parents)
-	depths := make([]int, n)
-	for i := range depths {
-		depths[i] = -1
-	}
-	if root >= 0 && root < n {
-		depths[root] = 0
-	}
-	for i := 0; i < n; i++ {
-		if depths[i] >= 0 {
-			continue
-		}
-		// Walk up, remembering the path; bail on loops or dead ends.
-		path := []int{}
-		cur := i
-		for {
-			if cur < 0 || cur >= n {
-				break
-			}
-			if depths[cur] >= 0 {
-				// Found an anchored node; unwind.
-				d := depths[cur]
-				for k := len(path) - 1; k >= 0; k-- {
-					d++
-					depths[path[k]] = d
-				}
-				break
-			}
-			looped := false
-			for _, p := range path {
-				if p == cur {
-					looped = true
-					break
-				}
-			}
-			if looped {
-				break
-			}
-			path = append(path, cur)
-			cur = parents[cur]
-		}
-	}
-	return depths
-}
-
-// TreeDepthsMulti is TreeDepths for a forest with several sinks (the
-// multi-sink collection workload): every root anchors at depth 0 and each
-// node's depth is its hop distance to whichever sink its parent chain
-// reaches. With one root it is identical to TreeDepths.
-func TreeDepthsMulti(parents []int, roots []int) []int {
+// for "no parent". Every root anchors at depth 0, so with several sinks
+// (the multi-sink collection workload) each node's depth is its hop
+// distance to whichever sink its parent chain reaches. Nodes on loops or
+// detached from a root get depth -1.
+func TreeDepths(parents []int, roots ...int) []int {
 	n := len(parents)
 	depths := make([]int, n)
 	for i := range depths {
@@ -248,9 +199,10 @@ func TreeDepthsMulti(parents []int, roots []int) []int {
 	return depths
 }
 
-// MeanDepthMulti is MeanDepth over a multi-sink forest: sinks are
-// excluded from the mean and the connected/detached counts.
-func MeanDepthMulti(depths []int, roots []int) (mean float64, connected, detached int) {
+// MeanDepth averages the depths of all nodes except the roots, counting
+// detached nodes (depth < 0) as notConnected instead, which is returned
+// separately so callers can report both.
+func MeanDepth(depths []int, roots ...int) (mean float64, connected, detached int) {
 	isRoot := func(i int) bool {
 		for _, r := range roots {
 			if r == i {
@@ -262,28 +214,6 @@ func MeanDepthMulti(depths []int, roots []int) (mean float64, connected, detache
 	var sum int
 	for i, d := range depths {
 		if isRoot(i) {
-			continue
-		}
-		if d < 0 {
-			detached++
-			continue
-		}
-		sum += d
-		connected++
-	}
-	if connected == 0 {
-		return 0, 0, detached
-	}
-	return float64(sum) / float64(connected), connected, detached
-}
-
-// MeanDepth averages the depths of all nodes except the root, counting
-// detached nodes (depth < 0) as notConnected instead, which is returned
-// separately so callers can report both.
-func MeanDepth(depths []int, root int) (mean float64, connected, detached int) {
-	var sum int
-	for i, d := range depths {
-		if i == root {
 			continue
 		}
 		if d < 0 {

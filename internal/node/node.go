@@ -1,7 +1,9 @@
 // Package node assembles full protocol stacks — radio, MAC, link estimator,
 // routing, collection application — for every node of a topology, and is
 // the only place where the layers are wired together (the narrow-interface
-// discipline the paper argues for: each layer sees only its bits).
+// discipline the paper argues for: each layer sees only its bits). One
+// build loop, Build, wires every network; the routing protocol plugs in as
+// a per-node constructor (CTP or LQI) behind the small Router interface.
 package node
 
 import (
@@ -287,11 +289,59 @@ func (ls *ledgerState) finalize() *collect.Ledger {
 	return collect.MergeLedgers(ls.parts, ls.logs)
 }
 
-// CTPNetwork is a booted network of CTP nodes plus its workload and ledger.
-type CTPNetwork struct {
+// Router is a collection-routing protocol as the build loop drives it:
+// boot it, hand it readings, hear what reaches a sink, read its parent.
+// ctp.Node and lqirouter.Node both satisfy it, so one loop builds every
+// network whatever router runs over the estimator.
+type Router interface {
+	Start()
+	Send(data []byte) bool
+	OnDeliver(fn func(origin packet.Addr, hops uint8, data []byte))
+	Parent() packet.Addr
+}
+
+// RouterFunc builds node i's router over its MAC, and returns the node's
+// link estimator too (nil for a router that estimates inline). Build calls
+// it once per node, in address order, right after the node's MAC.
+type RouterFunc func(env *Env, i int, m *mac.MAC) (Router, core.LinkEstimator)
+
+// CTP returns the constructor for CTP over a link estimator of the given
+// kind. Every estimator draws from the same per-node "est/<i>" seed stream
+// regardless of kind, so switching kinds perturbs no other randomness in
+// the run. An unknown kind panics — callers validate selectors at the
+// configuration boundary (core.ParseEstimatorKind).
+func CTP(cfg ctp.Config, estCfg core.Config, kind core.EstimatorKind) RouterFunc {
+	return func(env *Env, i int, m *mac.MAC) (Router, core.LinkEstimator) {
+		addr := packet.Addr(i)
+		est, err := core.NewKind(kind, addr, estCfg, nil, env.Seeds.Stream(fmt.Sprintf("est/%d", i)))
+		if err != nil {
+			panic("node: " + err.Error())
+		}
+		est.SetProbes(env.BusFor(i))
+		if env.Cfg.WrapEstimator != nil {
+			est = env.Cfg.WrapEstimator(addr, est)
+		}
+		return ctp.New(env.ClockFor(i), m, est, env.IsRoot(i), cfg,
+			env.Seeds.Stream(fmt.Sprintf("ctp/%d", i))), est
+	}
+}
+
+// LQI returns the constructor for MultiHopLQI, which carries its
+// estimation inline and so has no link estimator.
+func LQI(cfg lqirouter.Config) RouterFunc {
+	return func(env *Env, i int, m *mac.MAC) (Router, core.LinkEstimator) {
+		return lqirouter.New(env.ClockFor(i), m, env.IsRoot(i), cfg,
+			env.Seeds.Stream(fmt.Sprintf("lqi/%d", i))), nil
+	}
+}
+
+// Network is a booted collection network plus its workload and ledger.
+type Network struct {
 	Env     *Env
-	Nodes   []*ctp.Node
+	Routers []Router
 	MACs    []*mac.MAC
+	// Ests holds every node's link estimator in address order; nil when
+	// the router estimates inline (MultiHopLQI).
 	Ests    []core.LinkEstimator
 	Sources []*collect.Source
 	// Ledger is the run's delivery accounting. On the serial path it is
@@ -301,80 +351,62 @@ type CTPNetwork struct {
 	ledgers *ledgerState
 }
 
-// FinalizeLedger merges per-shard delivery accounting into Ledger after a
-// sharded run (serial: a no-op; Ledger is already the single live one).
-func (net *CTPNetwork) FinalizeLedger() *collect.Ledger {
-	net.Ledger = net.ledgers.finalize()
-	return net.Ledger
-}
-
-// BuildCTP assembles a CTP network over the default (four-bit family) link
-// estimator; see BuildCTPKind for the estimator-pluggable form.
-func BuildCTP(env *Env, ctpCfg ctp.Config, estCfg core.Config, wl collect.Workload) *CTPNetwork {
-	return BuildCTPKind(env, ctpCfg, estCfg, core.KindFourBit, wl)
-}
-
-// BuildCTPKind assembles one CTP node per topology position (the topology
-// root becomes the collection root) over a link estimator of the given
-// kind, boots them staggered over the workload's boot window, and starts
-// the traffic sources. Every estimator draws from the same per-node
-// "est/<i>" seed stream regardless of kind, so switching kinds perturbs no
-// other randomness in the run. An unknown kind panics — callers validate
-// selectors at the configuration boundary (core.ParseEstimatorKind).
-func BuildCTPKind(env *Env, ctpCfg ctp.Config, estCfg core.Config, kind core.EstimatorKind, wl collect.Workload) *CTPNetwork {
+// Build assembles one MAC and router per topology position (every sink
+// runs in root mode and counts its deliveries into the ledger), boots the
+// nodes staggered over the workload's boot window, and starts a traffic
+// source at every node that is not a sink.
+func Build(env *Env, newRouter RouterFunc, wl collect.Workload) *Network {
 	n := env.Topo.N()
-	net := &CTPNetwork{Env: env, ledgers: newLedgerState(env)}
+	net := &Network{Env: env, ledgers: newLedgerState(env)}
 	net.Ledger = net.ledgers.single
 	for i := 0; i < n; i++ {
-		addr := packet.Addr(i)
-		m := mac.New(env.ClockFor(i), env.Medium.Radio(i), addr, env.Cfg.MAC,
+		m := mac.New(env.ClockFor(i), env.Medium.Radio(i), packet.Addr(i), env.Cfg.MAC,
 			env.Seeds.Stream(fmt.Sprintf("mac/%d", i)))
-		est, err := core.NewKind(kind, addr, estCfg, nil, env.Seeds.Stream(fmt.Sprintf("est/%d", i)))
-		if err != nil {
-			panic("node: " + err.Error())
-		}
-		est.SetProbes(env.BusFor(i))
-		if env.Cfg.WrapEstimator != nil {
-			est = env.Cfg.WrapEstimator(addr, est)
-		}
-		cn := ctp.New(env.ClockFor(i), m, est, env.IsRoot(i), ctpCfg,
-			env.Seeds.Stream(fmt.Sprintf("ctp/%d", i)))
-		net.Nodes = append(net.Nodes, cn)
+		r, est := newRouter(env, i, m)
+		net.Routers = append(net.Routers, r)
 		net.MACs = append(net.MACs, m)
-		net.Ests = append(net.Ests, est)
+		if est != nil {
+			net.Ests = append(net.Ests, est)
+		}
 	}
 	for _, sink := range env.Roots() {
 		sink := sink
-		net.Nodes[sink].OnDeliver(func(origin packet.Addr, _ uint8, thl uint8, data []byte) {
+		net.Routers[sink].OnDeliver(func(origin packet.Addr, hops uint8, data []byte) {
 			if seq, err := collect.DecodeReading(data); err == nil {
-				net.ledgers.deliver(env, sink, origin, seq, thl)
-				env.BusFor(sink).Deliver(origin, seq, thl)
+				net.ledgers.deliver(env, sink, origin, seq, hops)
+				env.BusFor(sink).Deliver(origin, seq, hops)
 			}
 		})
 	}
 	bootRng := env.Seeds.Stream("boot")
 	for i := 0; i < n; i++ {
-		i := i
 		boot := bootRng.UniformTime(0, wl.BootWindow)
-		env.ClockFor(i).At(boot, net.Nodes[i].Start)
+		env.ClockFor(i).At(boot, net.Routers[i].Start)
 		if env.IsRoot(i) {
 			continue
 		}
 		src := collect.NewSource(env.ClockFor(i), packet.Addr(i), wl,
 			env.Seeds.Stream(fmt.Sprintf("src/%d", i)),
-			net.Nodes[i].Send, net.ledgers.forNode(env, i))
+			net.Routers[i].Send, net.ledgers.forNode(env, i))
 		src.Start(boot)
 		net.Sources = append(net.Sources, src)
 	}
 	return net
 }
 
+// FinalizeLedger merges per-shard delivery accounting into Ledger after a
+// sharded run (serial: a no-op; Ledger is already the single live one).
+func (net *Network) FinalizeLedger() *collect.Ledger {
+	net.Ledger = net.ledgers.finalize()
+	return net.Ledger
+}
+
 // Parents returns the current parent index per node (-1 when routeless),
 // ready for metrics.TreeDepths. Every sink reads as -1.
-func (net *CTPNetwork) Parents() []int {
-	out := make([]int, len(net.Nodes))
-	for i, nd := range net.Nodes {
-		p := nd.Parent()
+func (net *Network) Parents() []int {
+	out := make([]int, len(net.Routers))
+	for i, r := range net.Routers {
+		p := r.Parent()
 		if net.Env.IsRoot(i) || p == packet.None {
 			out[i] = -1
 			continue
@@ -386,7 +418,7 @@ func (net *CTPNetwork) Parents() []int {
 
 // DataTransmissions sums unicast data transmissions across all MACs — the
 // numerator of the paper's cost metric.
-func (net *CTPNetwork) DataTransmissions() uint64 {
+func (net *Network) DataTransmissions() uint64 {
 	var sum uint64
 	for _, m := range net.MACs {
 		sum += m.Stats.TxData
@@ -395,98 +427,7 @@ func (net *CTPNetwork) DataTransmissions() uint64 {
 }
 
 // BeaconTransmissions sums broadcast transmissions across all MACs.
-func (net *CTPNetwork) BeaconTransmissions() uint64 {
-	var sum uint64
-	for _, m := range net.MACs {
-		sum += m.Stats.TxBeacons
-	}
-	return sum
-}
-
-// LQINetwork is a booted network of MultiHopLQI nodes.
-type LQINetwork struct {
-	Env     *Env
-	Nodes   []*lqirouter.Node
-	MACs    []*mac.MAC
-	Sources []*collect.Source
-	// Ledger follows the same serial/sharded contract as CTPNetwork.Ledger.
-	Ledger  *collect.Ledger
-	ledgers *ledgerState
-}
-
-// FinalizeLedger merges per-shard delivery accounting into Ledger after a
-// sharded run (serial: a no-op).
-func (net *LQINetwork) FinalizeLedger() *collect.Ledger {
-	net.Ledger = net.ledgers.finalize()
-	return net.Ledger
-}
-
-// BuildLQI assembles a MultiHopLQI network, mirroring BuildCTP.
-func BuildLQI(env *Env, cfg lqirouter.Config, wl collect.Workload) *LQINetwork {
-	n := env.Topo.N()
-	net := &LQINetwork{Env: env, ledgers: newLedgerState(env)}
-	net.Ledger = net.ledgers.single
-	for i := 0; i < n; i++ {
-		addr := packet.Addr(i)
-		m := mac.New(env.ClockFor(i), env.Medium.Radio(i), addr, env.Cfg.MAC,
-			env.Seeds.Stream(fmt.Sprintf("mac/%d", i)))
-		ln := lqirouter.New(env.ClockFor(i), m, env.IsRoot(i), cfg,
-			env.Seeds.Stream(fmt.Sprintf("lqi/%d", i)))
-		net.Nodes = append(net.Nodes, ln)
-		net.MACs = append(net.MACs, m)
-	}
-	for _, sink := range env.Roots() {
-		sink := sink
-		net.Nodes[sink].OnDeliver(func(origin packet.Addr, _ uint16, hops uint8, data []byte) {
-			if seq, err := collect.DecodeReading(data); err == nil {
-				net.ledgers.deliver(env, sink, origin, seq, hops)
-				env.BusFor(sink).Deliver(origin, seq, hops)
-			}
-		})
-	}
-	bootRng := env.Seeds.Stream("boot")
-	for i := 0; i < n; i++ {
-		i := i
-		boot := bootRng.UniformTime(0, wl.BootWindow)
-		env.ClockFor(i).At(boot, net.Nodes[i].Start)
-		if env.IsRoot(i) {
-			continue
-		}
-		src := collect.NewSource(env.ClockFor(i), packet.Addr(i), wl,
-			env.Seeds.Stream(fmt.Sprintf("src/%d", i)),
-			net.Nodes[i].Send, net.ledgers.forNode(env, i))
-		src.Start(boot)
-		net.Sources = append(net.Sources, src)
-	}
-	return net
-}
-
-// Parents returns the current parent index per node (-1 when routeless).
-// Every sink reads as -1.
-func (net *LQINetwork) Parents() []int {
-	out := make([]int, len(net.Nodes))
-	for i, nd := range net.Nodes {
-		p := nd.Parent()
-		if net.Env.IsRoot(i) || p == packet.None {
-			out[i] = -1
-			continue
-		}
-		out[i] = int(p)
-	}
-	return out
-}
-
-// DataTransmissions sums unicast data transmissions across all MACs.
-func (net *LQINetwork) DataTransmissions() uint64 {
-	var sum uint64
-	for _, m := range net.MACs {
-		sum += m.Stats.TxData
-	}
-	return sum
-}
-
-// BeaconTransmissions sums broadcast transmissions across all MACs.
-func (net *LQINetwork) BeaconTransmissions() uint64 {
+func (net *Network) BeaconTransmissions() uint64 {
 	var sum uint64
 	for _, m := range net.MACs {
 		sum += m.Stats.TxBeacons

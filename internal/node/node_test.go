@@ -7,10 +7,18 @@ import (
 	"fourbit/internal/core"
 	"fourbit/internal/ctp"
 	"fourbit/internal/lqirouter"
+	"fourbit/internal/mac"
 	"fourbit/internal/metrics"
+	"fourbit/internal/packet"
 	"fourbit/internal/phy"
 	"fourbit/internal/sim"
 	"fourbit/internal/topo"
+)
+
+// fourBitCTP and multiHopLQI are the two default router stacks.
+var (
+	fourBitCTP  = CTP(ctp.DefaultConfig(), core.DefaultConfig(), core.KindFourBit)
+	multiHopLQI = LQI(lqirouter.DefaultConfig())
 )
 
 func fastWorkload() collect.Workload {
@@ -35,7 +43,7 @@ func flatEnv(seed uint64, power float64) EnvConfig {
 func TestCTPLineEndToEnd(t *testing.T) {
 	tp := topo.Line(4, 42) // 42 m hops: usable links, skipping a hop impossible
 	env := NewEnv(tp, flatEnv(1, 0))
-	net := BuildCTP(env, ctp.DefaultConfig(), core.DefaultConfig(), fastWorkload())
+	net := Build(env, fourBitCTP, fastWorkload())
 	env.Clock.RunUntil(5 * sim.Minute)
 
 	if r := net.Ledger.TotalDeliveryRatio(); r < 0.95 {
@@ -56,7 +64,7 @@ func TestCTPLineEndToEnd(t *testing.T) {
 func TestCTPGridMultihop(t *testing.T) {
 	tp := topo.Grid(4, 4, 16)
 	env := NewEnv(tp, DefaultEnvConfig(2, 0))
-	net := BuildCTP(env, ctp.DefaultConfig(), core.DefaultConfig(), fastWorkload())
+	net := Build(env, fourBitCTP, fastWorkload())
 	env.Clock.RunUntil(5 * sim.Minute)
 
 	if r := net.Ledger.TotalDeliveryRatio(); r < 0.9 {
@@ -78,7 +86,7 @@ func TestCTPGridMultihop(t *testing.T) {
 func TestLQILineEndToEnd(t *testing.T) {
 	tp := topo.Line(4, 42)
 	env := NewEnv(tp, flatEnv(3, 0))
-	net := BuildLQI(env, lqirouter.DefaultConfig(), fastWorkload())
+	net := Build(env, multiHopLQI, fastWorkload())
 	env.Clock.RunUntil(6 * sim.Minute)
 
 	if r := net.Ledger.TotalDeliveryRatio(); r < 0.9 {
@@ -96,7 +104,7 @@ func TestCTPDeterministicAcrossRuns(t *testing.T) {
 	run := func() (uint64, uint64, uint64) {
 		tp := topo.Grid(3, 3, 16)
 		env := NewEnv(tp, DefaultEnvConfig(7, 0))
-		net := BuildCTP(env, ctp.DefaultConfig(), core.DefaultConfig(), fastWorkload())
+		net := Build(env, fourBitCTP, fastWorkload())
 		env.Clock.RunUntil(3 * sim.Minute)
 		return net.Ledger.Unique(), net.DataTransmissions(), env.Clock.Events()
 	}
@@ -111,7 +119,7 @@ func TestCTPDifferentSeedsDiffer(t *testing.T) {
 	run := func(seed uint64) uint64 {
 		tp := topo.Grid(3, 3, 16)
 		env := NewEnv(tp, DefaultEnvConfig(seed, 0))
-		BuildCTP(env, ctp.DefaultConfig(), core.DefaultConfig(), fastWorkload())
+		Build(env, fourBitCTP, fastWorkload())
 		env.Clock.RunUntil(2 * sim.Minute)
 		return env.Clock.Events()
 	}
@@ -130,7 +138,7 @@ func TestCTPReroutesAroundDeadLink(t *testing.T) {
 	}}
 	env := NewEnv(tp, flatEnv(4, 0))
 	env.Chan.SetModifierBoth(0, 2, constantLoss(6))
-	net := BuildCTP(env, ctp.DefaultConfig(), core.DefaultConfig(), fastWorkload())
+	net := Build(env, fourBitCTP, fastWorkload())
 
 	env.Clock.At(4*sim.Minute, func() {
 		env.Chan.SetModifierBoth(1, 2, constantLoss(80))
@@ -145,8 +153,8 @@ func TestCTPReroutesAroundDeadLink(t *testing.T) {
 	if delivered < 200 {
 		t.Fatalf("only %d deliveries after link death; re-routing failed", delivered)
 	}
-	if net.Nodes[2].Parent() != 0 {
-		t.Fatalf("node 2 parent = %v after link death, want 0 (direct)", net.Nodes[2].Parent())
+	if net.Routers[2].Parent() != 0 {
+		t.Fatalf("node 2 parent = %v after link death, want 0 (direct)", net.Routers[2].Parent())
 	}
 	if r := net.Ledger.DeliveryRatio(2); r < 0.8 {
 		t.Fatalf("node 2 delivery ratio = %.3f after re-route", r)
@@ -181,23 +189,23 @@ func TestFourBitAvoidsBurstyLinkLQIDoesNot(t *testing.T) {
 	}
 
 	envL, _ := build(11)
-	lqiNet := BuildLQI(envL, lqirouter.DefaultConfig(), fastWorkload())
+	lqiNet := Build(envL, multiHopLQI, fastWorkload())
 	envL.Clock.RunUntil(12 * sim.Minute)
 
 	env4, _ := build(11)
-	ctpNet := BuildCTP(env4, ctp.DefaultConfig(), core.DefaultConfig(), fastWorkload())
+	ctpNet := Build(env4, fourBitCTP, fastWorkload())
 	env4.Clock.RunUntil(12 * sim.Minute)
 
 	lqiRatio := lqiNet.Ledger.DeliveryRatio(2)
 	fbRatio := ctpNet.Ledger.DeliveryRatio(2)
 
-	if lqiNet.Nodes[2].Parent() != 0 {
+	if lqiNet.Routers[2].Parent() != 0 {
 		t.Logf("note: MultiHopLQI parent of C = %v (expected 0: blind to bursts)",
-			lqiNet.Nodes[2].Parent())
+			lqiNet.Routers[2].Parent())
 	}
-	if ctpNet.Nodes[2].Parent() != 1 {
+	if ctpNet.Routers[2].Parent() != 1 {
 		t.Errorf("4B parent of C = %v, want 1 (route around the bursty link)",
-			ctpNet.Nodes[2].Parent())
+			ctpNet.Routers[2].Parent())
 	}
 	if fbRatio < 0.95 {
 		t.Errorf("4B delivery ratio on bursty topology = %.3f, want >= 0.95", fbRatio)
@@ -210,7 +218,7 @@ func TestFourBitAvoidsBurstyLinkLQIDoesNot(t *testing.T) {
 func TestParentsSnapshotShape(t *testing.T) {
 	tp := topo.Line(3, 42)
 	env := NewEnv(tp, flatEnv(5, 0))
-	net := BuildCTP(env, ctp.DefaultConfig(), core.DefaultConfig(), fastWorkload())
+	net := Build(env, fourBitCTP, fastWorkload())
 	// Before boot: everyone routeless.
 	for i, p := range net.Parents() {
 		if p != -1 {
@@ -230,7 +238,7 @@ func TestParentsSnapshotShape(t *testing.T) {
 func TestBeaconAndDataCountersAdvance(t *testing.T) {
 	tp := topo.Line(3, 15)
 	env := NewEnv(tp, DefaultEnvConfig(6, 0))
-	net := BuildCTP(env, ctp.DefaultConfig(), core.DefaultConfig(), fastWorkload())
+	net := Build(env, fourBitCTP, fastWorkload())
 	env.Clock.RunUntil(3 * sim.Minute)
 	if net.BeaconTransmissions() == 0 {
 		t.Fatal("no beacons transmitted")
@@ -242,6 +250,85 @@ func TestBeaconAndDataCountersAdvance(t *testing.T) {
 	// node1 1 hop + node2 2 hops.
 	if net.DataTransmissions() < net.Ledger.Unique() {
 		t.Fatal("fewer data transmissions than deliveries; counting broken")
+	}
+}
+
+// deliveryCounter wraps a router and counts what reaches it as a sink —
+// the Router interface is all the build loop needs, so a test can
+// interpose on it.
+type deliveryCounter struct {
+	Router
+	n *int
+}
+
+func (r deliveryCounter) OnDeliver(fn func(origin packet.Addr, hops uint8, data []byte)) {
+	r.Router.OnDeliver(func(origin packet.Addr, hops uint8, data []byte) {
+		*r.n++
+		fn(origin, hops, data)
+	})
+}
+
+// The one build loop serves several sinks under either router: a 2×6
+// grid with the topology root at one corner and an extra root at the
+// opposite one.
+func TestBuildWithExtraRoot(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		newRouter RouterFunc
+		ests      bool
+	}{
+		{"CTP", fourBitCTP, true},
+		{"MultiHopLQI", multiHopLQI, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tp := topo.Grid(2, 6, 42)
+			const extra = 11
+			cfg := flatEnv(8, 0)
+			cfg.ExtraRoots = []int{extra}
+			env := NewEnv(tp, cfg)
+			delivered := make([]int, tp.N())
+			net := Build(env, func(env *Env, i int, m *mac.MAC) (Router, core.LinkEstimator) {
+				r, est := tc.newRouter(env, i, m)
+				return deliveryCounter{r, &delivered[i]}, est
+			}, fastWorkload())
+			env.Clock.RunUntil(5 * sim.Minute)
+
+			sinks := []int{tp.Root, extra}
+			parents := net.Parents()
+			for _, sink := range sinks {
+				if parents[sink] != -1 {
+					t.Errorf("sink %d reads parent %d, want -1", sink, parents[sink])
+				}
+				if delivered[sink] == 0 {
+					t.Errorf("sink %d received no deliveries", sink)
+				}
+			}
+			// Only non-sinks run sources: the ledger's origins are exactly
+			// the other ten nodes.
+			origins := net.Ledger.DeliveryRatios()
+			if len(net.Sources) != tp.N()-len(sinks) || len(origins) != tp.N()-len(sinks) {
+				t.Errorf("%d sources and %d origins for %d nodes and %d sinks",
+					len(net.Sources), len(origins), tp.N(), len(sinks))
+			}
+			for _, sink := range sinks {
+				if _, ok := origins[packet.Addr(sink)]; ok {
+					t.Errorf("sink %d generated traffic", sink)
+				}
+			}
+			var txData uint64
+			for _, m := range net.MACs {
+				txData += m.Stats.TxData
+			}
+			if got := net.DataTransmissions(); got != txData || got == 0 {
+				t.Errorf("DataTransmissions() = %d, MACs sum to %d", got, txData)
+			}
+			if tc.ests && len(net.Ests) != tp.N() {
+				t.Errorf("CTP network has %d estimators for %d nodes", len(net.Ests), tp.N())
+			}
+			if !tc.ests && net.Ests != nil {
+				t.Errorf("MultiHopLQI network has estimators: %v", net.Ests)
+			}
+		})
 	}
 }
 

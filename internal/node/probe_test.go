@@ -67,7 +67,7 @@ func busTotals(env *node.Env) (*extraCounts, func() probe.Window) {
 func TestProbeBusMatchesCountersCTP(t *testing.T) {
 	env := node.NewEnv(topo.Grid(4, 4, 6), node.DefaultEnvConfig(7, -5))
 	extra, totals := busTotals(env)
-	net := node.BuildCTP(env, ctp.DefaultConfig(), core.DefaultConfig(), probeWorkload())
+	net := node.Build(env, node.CTP(ctp.DefaultConfig(), core.DefaultConfig(), core.KindFourBit), probeWorkload())
 	env.Clock.RunUntil(3 * sim.Minute)
 	bus := totals()
 
@@ -84,7 +84,8 @@ func TestProbeBusMatchesCountersCTP(t *testing.T) {
 	for _, m := range net.MACs {
 		ccaFails += m.Stats.CCAFailures
 	}
-	for _, n := range net.Nodes {
+	for _, r := range net.Routers {
+		n := r.(*ctp.Node)
 		parentChanges += n.Stats.ParentChanges
 		beaconsSent += n.Stats.BeaconsSent
 	}
@@ -123,7 +124,7 @@ func TestProbeBusMatchesCountersCTP(t *testing.T) {
 func TestProbeBusMatchesCountersLQI(t *testing.T) {
 	env := node.NewEnv(topo.Grid(4, 4, 6), node.DefaultEnvConfig(7, -5))
 	extra, totals := busTotals(env)
-	net := node.BuildLQI(env, lqirouter.DefaultConfig(), probeWorkload())
+	net := node.Build(env, node.LQI(lqirouter.DefaultConfig()), probeWorkload())
 	env.Clock.RunUntil(3 * sim.Minute)
 	bus := totals()
 
@@ -134,7 +135,8 @@ func TestProbeBusMatchesCountersLQI(t *testing.T) {
 		t.Errorf("bus BeaconTx = %d, MAC counters = %d", got, want)
 	}
 	var parentChanges, beaconsSent uint64
-	for _, n := range net.Nodes {
+	for _, r := range net.Routers {
+		n := r.(*lqirouter.Node)
 		parentChanges += n.Stats.ParentChanges
 		beaconsSent += n.Stats.BeaconsSent
 	}
@@ -162,7 +164,7 @@ func TestProbeSinksDoNotPerturbRun(t *testing.T) {
 			trace.NewRecorder(env, 7*sim.Second, "purity")
 			env.Probes.Attach(probe.NewCollector(15 * sim.Second))
 		}
-		net := node.BuildCTP(env, ctp.DefaultConfig(), core.DefaultConfig(), probeWorkload())
+		net := node.Build(env, node.CTP(ctp.DefaultConfig(), core.DefaultConfig(), core.KindFourBit), probeWorkload())
 		env.Clock.RunUntil(2 * sim.Minute)
 		return env.Clock.Events(), net.DataTransmissions(), net.Parents()
 	}

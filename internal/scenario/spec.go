@@ -255,6 +255,9 @@ func (s *Spec) Validate() error {
 	if s.TableSize < 0 || s.FooterEntries < 0 || s.BeaconMaxS < 0 {
 		return fmt.Errorf("scenario %q: negative estimator/beacon knob", s.Name)
 	}
+	if s.TableSize > core.MaxTableSize {
+		return fmt.Errorf("scenario %q: TableSize %d exceeds the %d-neighbour address space", s.Name, s.TableSize, core.MaxTableSize)
+	}
 	if p, _ := s.protocol(); p == experiment.ProtoMultiHopLQI && (s.TableSize > 0 || s.FooterEntries > 0) {
 		return fmt.Errorf("scenario %q: TableSize/FooterEntries do not apply to MultiHopLQI (no link table)", s.Name)
 	}

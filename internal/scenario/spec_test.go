@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"fourbit/internal/core"
 	"fourbit/internal/node"
 	"fourbit/internal/sim"
 )
@@ -39,6 +40,7 @@ func TestSpecValidationErrors(t *testing.T) {
 		{"negative duration", Spec{DurationMin: -1}, "negative duration"},
 		{"negative replicates", Spec{Replicates: -2}, "negative replicates"},
 		{"negative table", Spec{TableSize: -1}, "negative estimator"},
+		{"table past address space", Spec{TableSize: core.MaxTableSize + 1}, "address space"},
 		{"bad jitter", Spec{Traffic: &TrafficSpec{JitterFrac: f64(1.5)}}, "invalid traffic"},
 		{"table on lqi", Spec{Protocol: "MultiHopLQI", TableSize: 4}, "do not apply to MultiHopLQI"},
 		{"unknown event", Spec{Dynamics: []Event{{Kind: "meteor-strike"}}}, "unknown event kind"},
@@ -69,6 +71,7 @@ func TestSpecValidationErrors(t *testing.T) {
 		{"trailing garbage", `{"Protocol": "4B"}x`, "trailing data"},
 		{"trailing bracket", "{\"Protocol\": \"4B\"}\n]", "trailing data"},
 		{"parsed duration overflows sim time", `{"DurationMin": 1e300}`, "duration over"},
+		{"parsed table of two billion", `{"TableSize": 2000000000}`, "address space"},
 	}
 	for _, c := range parseCases {
 		t.Run(c.name, func(t *testing.T) {
@@ -79,6 +82,9 @@ func TestSpecValidationErrors(t *testing.T) {
 	largest := Spec{Topology: TopoSpec{Kind: "grid", Rows: 2, Cols: node.MaxNodes / 2}}
 	if err := largest.Validate(); err != nil {
 		t.Fatalf("grid at the address-space bound refused: %v", err)
+	}
+	if err := (&Spec{TableSize: core.MaxTableSize}).Validate(); err != nil {
+		t.Fatalf("table at the address-space bound refused: %v", err)
 	}
 	if _, err := ParseSpec([]byte("{\"Protocol\": \"4B\"}\n\t \r\n")); err != nil {
 		t.Fatalf("trailing whitespace refused: %v", err)

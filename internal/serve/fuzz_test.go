@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -107,6 +108,49 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		}
 		if !bytes.Equal(snap, again) {
 			t.Fatalf("snapshot changed across a restore round trip:\nfirst  %s\nsecond %s", snap, again)
+		}
+	})
+}
+
+// FuzzCreateInstance feeds arbitrary bodies to POST /v1/instances — the
+// JSON decode, the name and kind checks, and the estimator build from the
+// body's config — on a fresh server. An accepted body must yield an
+// instance that takes one beacon and answers /table; a refused one must
+// get a 4xx status with a JSON error body. Neither may panic. Were the
+// oversized-table seed accepted, its first beacon would end the process.
+func FuzzCreateInstance(f *testing.F) {
+	full, err := json.Marshal(core.DefaultConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(`{"name":"fz","kind":"4bit","self":0,"seed":7}`))
+	f.Add([]byte(fmt.Sprintf(`{"name":"fz","kind":"wmewma","self":3,"seed":9,"config":%s}`, full)))
+	f.Add([]byte(oversizedTableBody(f, "fz")))
+
+	beacon := []byte(beaconLine(1_000_000, 5, 1, 120) + "\n")
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s := NewServer(Options{})
+		defer drainServer(t, s)
+		code, out := serveReq(s, "POST", "/v1/instances", body)
+		if code != http.StatusCreated {
+			var e apiError
+			if code < 400 || code >= 500 || json.Unmarshal(out, &e) != nil || e.Error == "" {
+				t.Fatalf("refused create answered status %d with body %q, want a 4xx JSON error", code, out)
+			}
+			return
+		}
+		var created struct {
+			Name string `json:"name"`
+		}
+		if err := json.Unmarshal(out, &created); err != nil {
+			t.Fatalf("create response %q: %v", out, err)
+		}
+		base := "/v1/instances/" + url.PathEscape(created.Name)
+		if code, out := serveReq(s, "POST", base+"/events", beacon); code != http.StatusOK {
+			t.Fatalf("beacon into a created instance: status %d: %s", code, out)
+		}
+		if code, out := serveReq(s, "GET", base+"/table", nil); code != http.StatusOK {
+			t.Fatalf("table of a created instance: status %d: %s", code, out)
 		}
 	})
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"fourbit/internal/core"
 	"fourbit/internal/serve/wire"
 )
 
@@ -370,7 +371,7 @@ func TestPoisonQuarantineIsolatesInstance(t *testing.T) {
 }
 
 func TestSnapshotRestoreHTTPRoundTrip(t *testing.T) {
-	_, ts := testServer(t, Options{})
+	s, ts := testServer(t, Options{})
 	createInstance(t, ts.URL, "a", "lqi")
 	var lines strings.Builder
 	for i := 1; i <= 30; i++ {
@@ -402,6 +403,24 @@ func TestSnapshotRestoreHTTPRoundTrip(t *testing.T) {
 	blob, _ := json.Marshal(mut)
 	resp := do(t, "POST", ts.URL+"/v1/instances/c/restore", string(blob), nil)
 	mustStatus(t, resp, http.StatusConflict)
+
+	// State gate: an (empty) instance's snapshot with a table past the
+	// address space is refused, and the server stays up.
+	createInstance(t, ts.URL, "empty", "4bit")
+	var big InstanceSnapshot
+	mustStatus(t, do(t, "GET", ts.URL+"/v1/instances/empty/snapshot", "", &big), http.StatusOK)
+	big.Estimator.Config.TableSize = 2_000_000_000
+	blob, _ = json.Marshal(&big)
+	var e apiError
+	mustStatus(t, do(t, "POST", ts.URL+"/v1/instances/d/restore", string(blob), &e), http.StatusBadRequest)
+	if !strings.Contains(e.Error, "TableSize") {
+		t.Fatalf("error %q does not name TableSize", e.Error)
+	}
+	big.Name = "d"
+	if err := s.RestoreSnapshot(&big); !errors.Is(err, core.ErrSnapshotState) {
+		t.Fatalf("RestoreSnapshot = %v, want ErrSnapshotState", err)
+	}
+	mustStatus(t, do(t, "GET", ts.URL+"/v1/healthz", "", nil), http.StatusOK)
 }
 
 func TestIdleEviction(t *testing.T) {
@@ -454,6 +473,7 @@ func TestServerErrorsAndLimits(t *testing.T) {
 		{"create bad json", "POST", "/v1/instances", `{"name":`, http.StatusBadRequest},
 		{"create bad name", "POST", "/v1/instances", `{"name":"a/b","kind":"4bit"}`, http.StatusBadRequest},
 		{"create bad kind", "POST", "/v1/instances", `{"name":"x","kind":"psychic"}`, http.StatusBadRequest},
+		{"create table past address space", "POST", "/v1/instances", oversizedTableBody(t, "x"), http.StatusBadRequest},
 		{"missing instance table", "GET", "/v1/instances/ghost/table", "", http.StatusNotFound},
 		{"missing instance delete", "DELETE", "/v1/instances/ghost", "", http.StatusNotFound},
 		{"bad addr query", "GET", "/v1/instances/ghost/quality?addr=zebra", "", http.StatusNotFound},
@@ -528,4 +548,19 @@ func TestParseOverflowPolicy(t *testing.T) {
 	if Backpressure.String() != "backpressure" || DropOldest.String() != "drop-oldest" {
 		t.Fatal("policy names drifted from the parser")
 	}
+}
+
+// oversizedTableBody is a create body whose config is the default with a
+// two-billion-entry table. The table allocates its full capacity on the
+// first insert, so accepting it would let one request end the process on
+// its first beacon.
+func oversizedTableBody(t testing.TB, name string) string {
+	t.Helper()
+	cfg := core.DefaultConfig()
+	cfg.TableSize = 2_000_000_000
+	blob, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf(`{"name":%q,"kind":"4bit","self":0,"seed":7,"config":%s}`, name, blob)
 }

@@ -60,7 +60,7 @@ func ctpTraceRun(tp *topo.Topology, window, duration sim.Time) *Trace {
 	rec := NewRecorder(env, window, "ctp")
 	wl := collect.DefaultWorkload()
 	wl.Period = 2 * sim.Second
-	node.BuildCTP(env, ctp.DefaultConfig(), core.DefaultConfig(), wl)
+	node.Build(env, node.CTP(ctp.DefaultConfig(), core.DefaultConfig(), core.KindFourBit), wl)
 	env.Clock.RunUntil(duration)
 	return rec.Finalize()
 }
@@ -123,7 +123,7 @@ func TestRecorderProbeSharesBus(t *testing.T) {
 	}
 	wl := collect.DefaultWorkload()
 	wl.Period = 2 * sim.Second
-	node.BuildCTP(env, ctp.DefaultConfig(), core.DefaultConfig(), wl)
+	node.Build(env, node.CTP(ctp.DefaultConfig(), core.DefaultConfig(), core.KindFourBit), wl)
 	env.Clock.RunUntil(30 * sim.Second)
 	a, b := recs[0].Finalize(), recs[1].Finalize()
 	if len(a.Links) == 0 || len(a.Links) != len(b.Links) {
