@@ -33,7 +33,7 @@ const (
 // ouCoeffs memoizes the OU transition coefficients of one process family
 // (one fixed tau/sigma pair): decay = e^(−dt/τ) and the shock scale
 // σ·sqrt(1 − decay²) depend only on the integer step dt, and steps repeat
-// heavily — every receiver of a transmission advances its process from the
+// heavily — every receiver of a frame advances its process from the
 // same previous event, so a whole candidate sweep shares one or two dt
 // values. A small direct-mapped cache keyed by dt therefore eliminates the
 // exp+sqrt pair from most hot-path queries. It is exactness-transparent:

@@ -38,7 +38,7 @@ func DefaultRadioParams() RadioParams {
 }
 
 // Medium connects n radios through a Channel, implementing frame-level
-// transmission with SINR-based reception, physical capture, and energy-based
+// delivery with SINR-based reception, physical capture, and energy-based
 // carrier sense. All radios share one spectrum (one 802.15.4 channel).
 type Medium struct {
 	clock  *sim.Simulator
@@ -46,26 +46,27 @@ type Medium struct {
 	rp     RadioParams
 	lqip   LQIParams
 	radios []*Radio
-	rng    *sim.Rand
+	// rxRng is the per-receiver reception stream (jitter, PRR draw, LQI
+	// synthesis). Every entry is the one "phy/medium" stream on the serial
+	// path; EnableSharded gives each receiver its own.
+	rxRng []*sim.Rand
 
-	active     []*transmission
 	candidates [][]int32 // per transmitter: receivers within detection range
 	candSlots  [][]int32 // per transmitter: channel adjacency slot per candidate
 
 	// Hot-path caches: the radio parameters converted to linear once, the
 	// running interference sum per receiver (maintained incrementally as
-	// transmissions start and finish instead of rescanning active), and a
-	// free list of per-transmission received-power buffers.
-	captureLin float64
-	detectMW   float64
-	sensMW     float64
-	ccaMW      float64
-	interfMW   []float64
-	powCap     int // max candidate-set size: length of pooled powMW buffers
-	powFree    [][]float64
-	txFree     []*transmission // recycled transmission records
-	finishFn   func(any)       // m.finishTx adapter, built once for ScheduleArg
-	prrT       []*PRRTable     // per frame length, filled lazily from the shared cache
+	// frames arrive and resolve), and a free list of frame records.
+	captureLin   float64
+	detectMW     float64
+	sensMW       float64
+	ccaMW        float64
+	interfMW     []float64
+	powCap       int         // max candidate-set size: length of pooled powMW buffers
+	free         []*frame    // recycled frames (serial path; shards keep their own)
+	finishFn     func(any)   // m.finishTx adapter, built once for ScheduleArg
+	senderDoneFn func(any)   // ends a sender's airtime where finishTx does not (sharded, powered off)
+	prrT         []*PRRTable // per frame length, filled lazily from the shared cache
 
 	sh *shardedMedium // nil on the serial path; see EnableSharded
 
@@ -80,20 +81,41 @@ type MediumStats struct {
 	DroppedCollision uint64 // failed the draw with interference present
 	CaptureSwitches  uint64 // receptions stomped by a much stronger signal
 	DroppedTxWhileRx uint64 // receptions aborted because the radio turned around to transmit
+	DroppedRadioDown uint64 // receptions aborted because the radio powered off
 }
 
-type transmission struct {
-	from     int
-	data     []byte
-	powerDBm float64
-	end      sim.Time
-	idx      int       // position in Medium.active, for O(1) removal
-	powMW    []float64 // received power per candidate (sender's candidate order); 0 = undetectable
+// add accumulates o into s. The sharded barrier rebuilds Stats from the
+// shard counters through it, so a field missing here would read zero on
+// that path (TestMediumStatsAddCoversEveryField).
+func (s *MediumStats) add(o *MediumStats) {
+	s.Transmissions += o.Transmissions
+	s.Delivered += o.Delivered
+	s.DroppedBER += o.DroppedBER
+	s.DroppedCollision += o.DroppedCollision
+	s.CaptureSwitches += o.CaptureSwitches
+	s.DroppedTxWhileRx += o.DroppedTxWhileRx
+	s.DroppedRadioDown += o.DroppedRadioDown
+}
+
+// frame is one packet on the air, pooled with its power buffer. data is
+// the sender's bytes on the serial path and a copy on the sharded path,
+// where the MAC reuses its encode buffer an epoch before the last
+// receiver resolves. powMW holds the power each candidate
+// receiver picked up, indexed by the sender's candidate position (0 =
+// undetectable); resolve zeroes every entry it visits, so a frame goes
+// back to its pool with a clean buffer and no receiver pointing at it.
+type frame struct {
+	from    int32
+	refs    int32 // sharded path: target shards yet to resolve (atomic)
+	start   sim.Time
+	end     sim.Time
+	txPowMW float64
+	data    []byte
+	powMW   []float64
 }
 
 type reception struct {
-	tx          *transmission
-	rec         *shardRec // sharded path; exactly one of tx/rec is set
+	f           *frame
 	powerMW     float64
 	curInterfMW float64
 	maxInterfMW float64
@@ -107,15 +129,20 @@ func NewMedium(clock *sim.Simulator, ch *Channel, rp RadioParams, lqip LQIParams
 		ch:    ch,
 		rp:    rp,
 		lqip:  lqip,
-		rng:   seeds.Stream("phy/medium"),
 	}
 	n := ch.N()
-	m.finishFn = func(a any) { m.finishTx(a.(*transmission)) }
+	m.finishFn = func(a any) { m.finishTx(a.(*frame)) }
+	m.senderDoneFn = func(a any) { a.(*Radio).transmitting = false }
 	m.captureLin = DBToLinear(rp.CaptureDB)
 	m.detectMW = DBmToMilliwatts(rp.DetectionDBm)
 	m.sensMW = DBmToMilliwatts(rp.SensitivityDBm)
 	m.ccaMW = DBmToMilliwatts(rp.CCAThresholdDBm)
 	m.interfMW = make([]float64, n)
+	rng := seeds.Stream("phy/medium")
+	m.rxRng = make([]*sim.Rand, n)
+	for i := range m.rxRng {
+		m.rxRng[i] = rng
+	}
 	// One contiguous backing array for the radios: the per-candidate hot
 	// loops chase radios[j] for scattered j, and spreading n individually
 	// allocated structs across the heap costs a cache miss per visit at
@@ -173,57 +200,38 @@ func (m *Medium) Airtime(payloadBytes int) sim.Time {
 	return sim.Time(bits * int64(sim.Second) / int64(m.rp.BitrateBps))
 }
 
-func (m *Medium) noiseMW(id int) float64 {
-	if m.sh != nil {
-		return m.ch.NoiseMW(id, m.sh.shards[m.sh.shardOf[id]].clock.Now())
+// local returns the wheel and the counters radio id's own events use, and
+// its shard: the medium's own wheel and Stats with a nil shard on the
+// serial path; the shard's wheel and share of the counters (summed into
+// Stats at each barrier) on the sharded path.
+func (m *Medium) local(id int) (*sim.Simulator, *MediumStats, *mediumShard) {
+	if m.sh == nil {
+		return m.clock, &m.Stats, nil
 	}
-	return m.ch.NoiseMW(id, m.clock.Now())
+	st := &m.sh.shards[m.sh.shardOf[id]]
+	return st.clock, &st.stats, st
 }
 
-// getPowBuf returns a zeroed per-transmission received-power buffer sized
-// for the largest candidate set (indexed by candidate position, so it stays
-// cache-resident at city scale instead of spanning all n nodes), reusing a
-// pooled one when available. finishTx releases buffers back via putPowBuf;
-// no reference to a buffer survives its transmission (receptions of a frame
-// are all resolved inside that frame's finishTx).
-func (m *Medium) getPowBuf() []float64 {
-	if n := len(m.powFree); n > 0 {
-		b := m.powFree[n-1]
-		m.powFree = m.powFree[:n-1]
-		return b
+// getFrame pops a recycled frame from free, or builds one whose zeroed
+// power buffer is sized for the largest candidate set (indexed by
+// candidate position, so it stays cache-resident at city scale instead of
+// spanning all n nodes).
+func getFrame(free *[]*frame, powCap int) *frame {
+	if n := len(*free); n > 0 {
+		f := (*free)[n-1]
+		*free = (*free)[:n-1]
+		return f
 	}
-	return make([]float64, m.powCap)
+	return &frame{powMW: make([]float64, powCap)}
 }
 
-func (m *Medium) putPowBuf(b []float64) { m.powFree = append(m.powFree, b) }
-
-// getTx returns a zeroed transmission record, reusing a pooled one when
-// available. finishTx releases records: by the time it returns, every
-// reception of the frame is resolved and no pointer to the record survives
-// (receptions locked on it are cleared in its candidate sweep).
-func (m *Medium) getTx() *transmission {
-	if n := len(m.txFree); n > 0 {
-		t := m.txFree[n-1]
-		m.txFree = m.txFree[:n-1]
-		*t = transmission{}
-		return t
-	}
-	return &transmission{}
-}
-
-// prrDecide resolves a reception draw through the certified PRR table for
-// the frame's length (bit-identical to rng.Bernoulli(PRR(...)); see
+// prrDecideWith resolves a reception draw through the certified PRR table
+// for the frame's length (bit-identical to rng.Bernoulli(PRR(...)); see
 // PRRTable.Decide), falling back to the analytic function for lengths the
-// table does not serve. The per-medium slice keeps the shared-cache lookup
-// off the per-reception path.
-func (m *Medium) prrDecide(sinrDB float64, frameBytes int) bool {
-	return m.prrDecideWith(sinrDB, frameBytes, m.rng, &m.prrT)
-}
-
-// prrDecideWith is prrDecide with the draw stream and the table cache as
-// parameters: the sharded resolve path supplies a per-receiver stream and
-// a per-shard cache, so concurrent shards neither contend on one
-// generator nor race on the lazily-grown cache slice.
+// table does not serve. cache is the caller's per-length table slice — the
+// medium's on the serial path, the shard's on the sharded path, so the
+// lazy growth is single-writer — and keeps the shared-cache lookup off the
+// per-reception path.
 func (m *Medium) prrDecideWith(sinrDB float64, frameBytes int, rng *sim.Rand, cache *[]*PRRTable) bool {
 	prrT := *cache
 	if frameBytes > 0 && frameBytes < len(prrT) {
@@ -245,67 +253,93 @@ func (m *Medium) prrDecideWith(sinrDB float64, frameBytes int, rng *sim.Rand, ca
 	return tb.Decide(sinrDB, rng)
 }
 
+// startTx puts a frame on the air for its sender. The serial path sweeps
+// the receivers at once and finishes the frame at its end; the sharded
+// path queues it for the next barrier, which hands both sweeps to the
+// target shards one epoch later (see ShardExchange), and frees the sender
+// at the end on its own wheel. Either completion event is scheduled before
+// any caller-side completion at the same deadline, so on the serial path
+// receivers see the frame before the sender's MAC reacts to its own
+// completion (FIFO ordering at equal times).
 func (m *Medium) startTx(r *Radio, data []byte) sim.Time {
-	if m.sh != nil {
-		return m.startTxSharded(r, data)
-	}
 	if r.transmitting {
 		panic(fmt.Sprintf("phy: radio %d Transmit while transmitting", r.id))
 	}
-	now := m.clock.Now()
+	clock, stats, st := m.local(r.id)
+	now := clock.Now()
 	if r.rx != nil {
 		// Half duplex: turning around to transmit aborts the reception.
 		r.rx = nil
-		m.Stats.DroppedTxWhileRx++
+		stats.DroppedTxWhileRx++
 	}
 	air := m.Airtime(len(data))
+	r.transmitting = true
 	if r.down {
 		// A powered-off radio radiates nothing. The MAC never reaches this
 		// path in practice (ChannelClear is false while down), but the
-		// contract stays safe: the "transmission" occupies the radio for its
-		// airtime and touches no receiver.
-		t := m.getTx()
-		t.from, t.end, t.idx, t.powMW = r.id, now+air, len(m.active), m.getPowBuf()
-		m.active = append(m.active, t)
-		r.transmitting = true
-		m.clock.ScheduleArg(t.end, m.finishFn, t)
+		// contract stays safe: the radio is occupied for the airtime and
+		// no receiver is touched.
+		clock.ScheduleArg(now+air, m.senderDoneFn, r)
 		return air
 	}
-	t := m.getTx()
-	t.from = r.id
-	t.data = data
-	t.powerDBm = r.txPowerDBm
-	t.end = now + air
-	t.idx = len(m.active)
-	t.powMW = m.getPowBuf()
-	m.active = append(m.active, t)
-	r.transmitting = true
-	m.Stats.Transmissions++
+	stats.Transmissions++
+	free := &m.free
+	if st != nil {
+		free = &st.free
+	}
+	f := getFrame(free, m.powCap)
+	f.from, f.start, f.end, f.txPowMW = int32(r.id), now, now+air, r.txPowMW
+	if st != nil {
+		f.data = append(f.data[:0], data...)
+		st.outbox = append(st.outbox, f)
+		clock.ScheduleArg(f.end, m.senderDoneFn, r)
+		return air
+	}
+	f.data = data
+	m.arrive(f, 0, len(m.candidates[r.id]), stats)
+	clock.ScheduleArg(f.end, m.finishFn, f)
+	return air
+}
 
-	slots := m.candSlots[r.id]
-	for ci, j32 := range m.candidates[r.id] {
-		j := int(j32)
-		pmw := r.txPowMW * m.ch.gainLinSlot(r.id, j, slots[ci], now)
+// finishTx ends a serial-path frame: the sender is free, every receiver
+// resolves, and the frame returns to the pool.
+func (m *Medium) finishTx(f *frame) {
+	m.radios[f.from].transmitting = false
+	m.resolve(f, 0, len(m.candidates[f.from]), m.clock.Now(), &m.Stats, &m.prrT)
+	f.data = nil // drop the sender's buffer before pooling
+	m.free = append(m.free, f)
+}
+
+// arrive makes frame f appear to the sender's candidates [lo, hi): each
+// detectable signal joins its receiver's interference sum and either locks
+// an idle receiver on, captures a busy one, or interferes with its
+// reception. Fading is sampled at the emission instant f.start.
+func (m *Medium) arrive(f *frame, lo, hi int, stats *MediumStats) {
+	from := int(f.from)
+	cands, slots := m.candidates[from], m.candSlots[from]
+	for ci := lo; ci < hi; ci++ {
+		j := int(cands[ci])
+		pmw := f.txPowMW * m.ch.gainLinSlot(from, j, slots[ci], f.start)
 		if pmw < m.detectMW {
 			continue
 		}
-		t.powMW[ci] = pmw
+		f.powMW[ci] = pmw
 		m.interfMW[j] += pmw
 		rj := m.radios[j]
 		switch {
 		case rj.down:
 			// Powered off: the energy still arrives at the antenna (and is
-			// accounted as interference for symmetry with finishTx), but the
+			// accounted as interference for symmetry with resolve), but the
 			// radio cannot lock on.
 		case rj.transmitting:
 			// Busy transmitting; this signal is inaudible to j but was
-			// recorded above as interference for others via t.powMW.
+			// recorded above as interference for others via f.powMW.
 		case rj.rx != nil:
 			if pmw > rj.rx.powerMW*m.captureLin && pmw >= m.sensMW {
 				// Physical capture: the much stronger new signal steals the
 				// receiver; the old frame is lost and keeps interfering.
-				m.Stats.CaptureSwitches++
-				rj.lockOn(t, pmw, m.interfMW[j]-pmw)
+				stats.CaptureSwitches++
+				rj.lockOn(f, pmw, m.interfMW[j]-pmw)
 			} else {
 				rj.rx.curInterfMW += pmw
 				if rj.rx.curInterfMW > rj.rx.maxInterfMW {
@@ -314,38 +348,25 @@ func (m *Medium) startTx(r *Radio, data []byte) sim.Time {
 			}
 		default: // idle
 			if pmw >= m.sensMW {
-				rj.lockOn(t, pmw, m.interfMW[j]-pmw)
+				rj.lockOn(f, pmw, m.interfMW[j]-pmw)
 			}
 		}
 	}
-	// The finish event is scheduled before any caller-side completion event
-	// at the same deadline, so receivers see the frame before the sender's
-	// MAC reacts to its own completion (FIFO ordering at equal times).
-	m.clock.ScheduleArg(t.end, m.finishFn, t)
-	return air
 }
 
-func (m *Medium) finishTx(t *transmission) {
-	// Swap-delete from the active set; t recorded its own position.
-	last := len(m.active) - 1
-	if t.idx != last {
-		moved := m.active[last]
-		m.active[t.idx] = moved
-		moved.idx = t.idx
-	}
-	m.active[last] = nil
-	m.active = m.active[:last]
-	sender := m.radios[t.from]
-	sender.transmitting = false
-
-	now := m.clock.Now()
-	for ci, j32 := range m.candidates[t.from] {
-		j := int(j32)
-		pmw := t.powMW[ci]
+// resolve ends frame f's airtime at candidates [lo, hi) at instant now:
+// its power leaves each receiver's interference sum, and every receiver
+// still locked on it takes the reception draw from its rxRng stream, with
+// table caching in prrT.
+func (m *Medium) resolve(f *frame, lo, hi int, now sim.Time, stats *MediumStats, prrT *[]*PRRTable) {
+	cands := m.candidates[f.from]
+	for ci := lo; ci < hi; ci++ {
+		pmw := f.powMW[ci]
 		if pmw == 0 {
 			continue
 		}
-		t.powMW[ci] = 0
+		f.powMW[ci] = 0
+		j := int(cands[ci])
 		m.interfMW[j] -= pmw
 		if m.interfMW[j] < 0 {
 			m.interfMW[j] = 0 // rounding drift from the incremental sum
@@ -355,8 +376,8 @@ func (m *Medium) finishTx(t *transmission) {
 		if rx == nil {
 			continue
 		}
-		if rx.tx != t {
-			// This transmission was interference for j's ongoing reception.
+		if rx.f != f {
+			// This frame was interference for j's ongoing reception.
 			rx.curInterfMW -= pmw
 			if rx.curInterfMW < 0 {
 				rx.curInterfMW = 0
@@ -367,33 +388,26 @@ func (m *Medium) finishTx(t *transmission) {
 		noise := m.ch.NoiseMW(j, now)
 		sinrLin := rx.powerMW / (noise + m.rp.InterferenceFactor*rx.maxInterfMW)
 		sinrDB := LinearToDB(sinrLin)
+		rng := m.rxRng[j]
 		// Fast per-packet variation (multipath ISI): one draw decides both
 		// the frame's fate and, if it survives, the quality it reports —
 		// so received packets are biased toward good instants.
 		if jitter := m.ch.PacketJitterSigmaDB(); jitter > 0 {
-			sinrDB += m.rng.Normal(0, jitter)
+			sinrDB += rng.Normal(0, jitter)
 		}
-		if m.prrDecide(sinrDB, len(t.data)) {
-			lqi, white := m.lqip.Synthesize(sinrDB, m.rng)
-			info := RxInfo{
-				At:    now,
-				SNRdB: sinrDB,
-				LQI:   lqi,
-				White: white,
-			}
-			m.Stats.Delivered++
+		if m.prrDecideWith(sinrDB, len(f.data), rng, prrT) {
+			lqi, white := m.lqip.Synthesize(sinrDB, rng)
+			info := RxInfo{At: now, SNRdB: sinrDB, LQI: lqi, White: white}
+			stats.Delivered++
 			if rj.recv != nil {
-				rj.recv(t.data, info)
+				rj.recv(f.data, info)
 			}
 		} else if rx.maxInterfMW > noise*0.1 {
-			m.Stats.DroppedCollision++
+			stats.DroppedCollision++
 		} else {
-			m.Stats.DroppedBER++
+			stats.DroppedBER++
 		}
 	}
-	m.putPowBuf(t.powMW)
-	*t = transmission{} // drop the data reference before pooling
-	m.txFree = append(m.txFree, t)
 }
 
 // Radio is one node's transceiver. MAC layers drive it through Transmit and
@@ -410,18 +424,11 @@ type Radio struct {
 	recv         func(data []byte, info RxInfo)
 }
 
-// lockOn points the radio's receiver at transmission t, reusing the
-// radio-owned reception buffer (the previous reception, if any, is dead by
-// the time lockOn runs).
-func (r *Radio) lockOn(t *transmission, pmw, interf float64) {
-	r.rxBuf = reception{tx: t, powerMW: pmw, curInterfMW: interf, maxInterfMW: interf}
-	r.rx = &r.rxBuf
-}
-
-// lockOnRec is lockOn for the sharded path, where the frame arrives as a
-// cross-shard record instead of a live transmission.
-func (r *Radio) lockOnRec(rec *shardRec, pmw, interf float64) {
-	r.rxBuf = reception{rec: rec, powerMW: pmw, curInterfMW: interf, maxInterfMW: interf}
+// lockOn points the radio's receiver at frame f, reusing the radio-owned
+// reception buffer (the previous reception, if any, is dead by the time
+// lockOn runs).
+func (r *Radio) lockOn(f *frame, pmw, interf float64) {
+	r.rxBuf = reception{f: f, powerMW: pmw, curInterfMW: interf, maxInterfMW: interf}
 	r.rx = &r.rxBuf
 }
 
@@ -447,8 +454,9 @@ func (r *Radio) TxPower() float64 { return r.txPowerDBm }
 // From the network's perspective the node is dead — neighbors stop hearing
 // its beacons and acks and age it out — which is how scenario dynamics
 // script node death and reboot. Going down aborts any in-progress
-// reception; a frame already mid-flight from this radio completes (the
-// sub-millisecond truncation is below the model's resolution).
+// reception (counted in DroppedRadioDown); a frame already mid-flight
+// from this radio completes (the sub-millisecond truncation is below the
+// model's resolution).
 func (r *Radio) SetDown(down bool) {
 	if r.down == down {
 		return
@@ -456,13 +464,15 @@ func (r *Radio) SetDown(down bool) {
 	r.down = down
 	if down && r.rx != nil {
 		r.rx = nil
+		_, stats, _ := r.m.local(r.id)
+		stats.DroppedRadioDown++
 	}
 }
 
 // Down reports whether the radio is powered off.
 func (r *Radio) Down() bool { return r.down }
 
-// Transmitting reports whether the radio is mid-transmission.
+// Transmitting reports whether the radio is sending a frame.
 func (r *Radio) Transmitting() bool { return r.transmitting }
 
 // Receiving reports whether the radio is locked onto an incoming frame.
@@ -479,7 +489,8 @@ func (r *Radio) ChannelClear() bool {
 	if r.down || r.transmitting || r.rx != nil {
 		return false
 	}
-	return r.m.noiseMW(r.id)+r.m.interfMW[r.id] < r.m.ccaMW
+	clock, _, _ := r.m.local(r.id)
+	return r.m.ch.NoiseMW(r.id, clock.Now())+r.m.interfMW[r.id] < r.m.ccaMW
 }
 
 // Transmit puts data on the air immediately and returns its airtime. The

@@ -1,9 +1,11 @@
 package phy
 
 import (
+	"fmt"
 	"testing"
 
 	"fourbit/internal/sim"
+	"fourbit/internal/topo"
 )
 
 // testbed builds a clock + medium over a line of n nodes at the given
@@ -229,20 +231,55 @@ func TestLowPowerShrinksRange(t *testing.T) {
 	}
 }
 
-func TestMediumStatsConsistency(t *testing.T) {
-	clock, m := testbed(t, 3, 18, 11)
-	rx := 0
-	m.Radio(1).OnReceive(func([]byte, RxInfo) { rx++ })
-	m.Radio(2).OnReceive(func([]byte, RxInfo) { rx++ })
-	for i := 0; i < 300; i++ {
-		at := sim.Time(i) * 5 * sim.Millisecond
-		clock.At(at, func() { m.Radio(0).Transmit(make([]byte, 25)) })
-	}
+// TestRadioDownAbortsReception: powering the receiver off mid-frame loses
+// the reception and counts it exactly once, in DroppedRadioDown alone.
+func TestRadioDownAbortsReception(t *testing.T) {
+	clock, m := testbed(t, 2, 5, 8)
+	delivered := 0
+	m.Radio(1).OnReceive(func([]byte, RxInfo) { delivered++ })
+	clock.At(0, func() { m.Radio(0).Transmit(make([]byte, 60)) })
+	clock.At(300*sim.Microsecond, func() { m.Radio(1).SetDown(true) })
 	clock.Run()
-	if m.Stats.Transmissions != 300 {
-		t.Fatalf("Transmissions = %d, want 300", m.Stats.Transmissions)
+	if delivered != 0 {
+		t.Fatal("frame delivered to a radio powered off mid-reception")
 	}
-	if uint64(rx) != m.Stats.Delivered {
-		t.Fatalf("delivered callbacks %d != Stats.Delivered %d", rx, m.Stats.Delivered)
+	if want := (MediumStats{Transmissions: 1, DroppedRadioDown: 1}); m.Stats != want {
+		t.Fatalf("Stats = %+v, want %+v", m.Stats, want)
+	}
+}
+
+// TestMediumStatsConsistency runs one 300-frame script through the shared
+// receiver sweep on both dispatch paths: every frame counts as one
+// transmission, and every delivered callback as one Delivered.
+func TestMediumStatsConsistency(t *testing.T) {
+	const frames = 300
+	check := func(t *testing.T, m *Medium, at func(sim.Time, func()), run func()) {
+		var rx [3]int // one counter per receiver: shards dispatch concurrently
+		for i := 1; i < 3; i++ {
+			i := i
+			m.Radio(i).OnReceive(func([]byte, RxInfo) { rx[i]++ })
+		}
+		for i := 0; i < frames; i++ {
+			at(sim.Time(i)*5*sim.Millisecond, func() { m.Radio(0).Transmit(make([]byte, 25)) })
+		}
+		run()
+		if m.Stats.Transmissions != frames {
+			t.Fatalf("Transmissions = %d, want %d", m.Stats.Transmissions, frames)
+		}
+		if got := uint64(rx[1] + rx[2]); got != m.Stats.Delivered || got == 0 {
+			t.Fatalf("delivered callbacks %d != Stats.Delivered %d (or none)", got, m.Stats.Delivered)
+		}
+	}
+	t.Run("serial", func(t *testing.T) {
+		clock, m := testbed(t, 3, 18, 11)
+		check(t, m, func(at sim.Time, fn func()) { clock.At(at, fn) }, clock.Run)
+	})
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			clocks, shardOf, m, g := shardedTestbed(t, topo.Line(3, 18), shards, 11)
+			defer g.Close()
+			check(t, m, func(at sim.Time, fn func()) { clocks[shardOf[0]].At(at, fn) },
+				func() { g.RunUntil(frames*5*sim.Millisecond + 10*sim.Millisecond) })
+		})
 	}
 }

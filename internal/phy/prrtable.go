@@ -14,9 +14,10 @@ import (
 // math.Pow per evaluation) dominates per-packet cost.
 //
 // Unlike a plain lookup table, the table's decision path is *certified
-// exact*: every cell stores rigorous lower/upper bounds on the analytic
-// PRR over that cell, and the reception draw compares the uniform sample
-// against the bounds first. Only when the sample lands inside the bounds
+// exact*: the exact PRR samples at a cell's two grid edges, widened by
+// prrBoundsEps, are rigorous lower/upper bounds on the analytic PRR over
+// that cell, and the reception draw compares the uniform sample against
+// the bounds first. Only when the sample lands inside the bounds
 // gap (probability = the cell's PRR span, <2.5% in the waterfall and ~0
 // elsewhere) does the kernel fall back to the analytic function — so the
 // Bernoulli outcome, and the number of random draws consumed, are
@@ -51,40 +52,31 @@ const (
 	prrMaxTableBytes = 4096
 )
 
-// Cell classification for the exact decision path.
-const (
-	prrCellSubOne uint8 = iota // PRR certainly < 1.0: draw, compare against bounds
-	prrCellOne                 // PRR certainly == 1.0: deliver, no draw
-	prrCellExact               // threshold/underflow neighborhood: analytic evaluation
-)
-
-// prrCell carries one cell's certified bounds and decision class in a
-// single record, so Decide touches one cache line per draw instead of
-// three parallel slices.
-type prrCell struct {
-	lo, hi float64 // certified bounds on PRR over the cell
-	kind   uint8   // decision class
-}
-
-// PRRTable is the precomputed reception curve for one frame length.
+// PRRTable is the precomputed reception curve for one frame length. Its
+// cells fall into three decision classes, fixed by two grid indices:
+// cells at or above oneAt certainly deliver (no draw); cells in
+// [subLo, subHi) are certainly strictly between 0 and 1 (one draw,
+// resolved against the cell's bounds); every other cell sits in the
+// neighborhood of the ==1.0 or ==0.0 threshold and takes the analytic
+// path.
 type PRRTable struct {
-	frameBytes int
-	val        []float64 // exact PRR at the prrTableCells+1 grid points
-	cell       []prrCell // per-cell decision data
+	frameBytes   int
+	val          []float64 // exact PRR at the prrTableCells+1 grid points
+	oneAt        int
+	subLo, subHi int
 }
 
 // FrameBytes returns the frame length this table was built for.
 func (t *PRRTable) FrameBytes() int { return t.frameBytes }
 
-// buildPRRTable samples the analytic PRR over the grid and certifies
-// per-cell bounds. PRR is strictly increasing in SINR, so the exact values
-// at a cell's edges bound the analytic function over the cell; prrBoundsEps
-// absorbs the evaluation's own float error.
+// buildPRRTable samples the analytic PRR over the grid and fixes the
+// decision classes. PRR is strictly increasing in SINR, so the exact values
+// at a cell's edges bound the analytic function over the cell (see
+// cellBounds); prrBoundsEps absorbs the evaluation's own float error.
 func buildPRRTable(frameBytes int) *PRRTable {
 	t := &PRRTable{
 		frameBytes: frameBytes,
 		val:        make([]float64, prrTableCells+1),
-		cell:       make([]prrCell, prrTableCells),
 	}
 	const step = 1.0 / prrTableStepsPerDB
 	for g := range t.val {
@@ -117,26 +109,15 @@ func buildPRRTable(frameBytes int) *PRRTable {
 	for zeroTo+1 <= prrTableCells && t.val[zeroTo+1] == 0 {
 		zeroTo++
 	}
-	for i := 0; i < prrTableCells; i++ {
-		c := &t.cell[i]
-		c.lo = t.val[i] - prrBoundsEps
-		if c.lo < 0 {
-			c.lo = 0
-		}
-		c.hi = t.val[i+1] + prrBoundsEps
-		if c.hi > 1 {
-			c.hi = 1
-		}
-		switch {
-		case i >= oneFrom+2:
-			c.kind = prrCellOne
-		case i+1 <= oneFrom-2 && i >= zeroTo+2:
-			c.kind = prrCellSubOne
-		default:
-			c.kind = prrCellExact
-		}
-	}
+	t.oneAt = oneFrom + 2
+	t.subLo, t.subHi = zeroTo+2, oneFrom-2
 	return t
+}
+
+// cellBounds returns the certified bounds on the analytic PRR over cell i:
+// its edge samples widened by prrBoundsEps and clamped to [0, 1].
+func (t *PRRTable) cellBounds(i int) (lo, hi float64) {
+	return max(t.val[i]-prrBoundsEps, 0), min(t.val[i+1]+prrBoundsEps, 1)
 }
 
 // Lookup returns the linearly-interpolated PRR at sinrDB — the cheap
@@ -178,18 +159,18 @@ func (t *PRRTable) Decide(sinrDB float64, rng *sim.Rand) bool {
 	if i >= prrTableCells {
 		i = prrTableCells - 1
 	}
-	c := &t.cell[i]
-	switch c.kind {
-	case prrCellOne:
+	if i >= t.oneAt {
 		return true
-	case prrCellExact:
+	}
+	if i < t.subLo || i >= t.subHi {
 		return rng.Bernoulli(PRR(sinrDB, t.frameBytes))
 	}
+	lo, hi := t.cellBounds(i)
 	u := rng.Float64()
-	if u < c.lo {
+	if u < lo {
 		return true
 	}
-	if u >= c.hi {
+	if u >= hi {
 		return false
 	}
 	return u < PRR(sinrDB, t.frameBytes)
@@ -197,7 +178,7 @@ func (t *PRRTable) Decide(sinrDB float64, rng *sim.Rand) bool {
 
 // CertifiedUpperPRR returns a certified upper bound on the analytic
 // reception probability at sinrDB. PRR is strictly increasing in SINR, so
-// the containing cell's certified hi bound (upper grid edge + prrBoundsEps,
+// the containing cell's certified upper bound (upper grid edge + prrBoundsEps,
 // covering the analytic evaluation's own float error) bounds the function
 // over the cell; below the table domain the domain floor's bound applies,
 // at or above the saturation point the bound is 1. The spatial-culling
@@ -214,7 +195,8 @@ func (t *PRRTable) CertifiedUpperPRR(sinrDB float64) float64 {
 	if i >= prrTableCells {
 		i = prrTableCells - 1
 	}
-	return t.cell[i].hi
+	_, hi := t.cellBounds(i)
+	return hi
 }
 
 // prrTableCache shares built tables process-wide: the curve depends only

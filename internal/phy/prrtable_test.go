@@ -98,6 +98,36 @@ func TestPRRTableDecideBitExact(t *testing.T) {
 	}
 }
 
+// TestPRRTableDecideEveryCell walks every cell of every tested length at
+// its lower grid edge and at its midpoint, so each boundary between the
+// certain-one, certain-sub-one and analytic classes is crossed by
+// construction rather than by random sampling. Decide must match the
+// analytic draw with the two streams in lockstep, and the certified upper
+// bound must cover the analytic PRR at every point.
+func TestPRRTableDecideEveryCell(t *testing.T) {
+	lengths := append(append([]int(nil), prrTestFrameLengths...), 135)
+	for _, fb := range lengths {
+		tab := PRRTableFor(fb)
+		rngTab := sim.NewRand(42)
+		rngRef := sim.NewRand(42)
+		for i := 0; i < prrTableCells; i++ {
+			for _, frac := range []float64{0, 0.5} {
+				sinr := prrTableMinDB + (float64(i)+frac)/prrTableStepsPerDB
+				prr := PRR(sinr, fb)
+				if got, want := tab.Decide(sinr, rngTab), rngRef.Bernoulli(prr); got != want {
+					t.Fatalf("frameBytes=%d cell=%d sinr=%v: Decide=%v, Bernoulli(PRR)=%v", fb, i, sinr, got, want)
+				}
+				if a, b := rngTab.Float64(), rngRef.Float64(); a != b {
+					t.Fatalf("frameBytes=%d cell=%d sinr=%v: random streams diverged", fb, i, sinr)
+				}
+				if up := tab.CertifiedUpperPRR(sinr); up < prr {
+					t.Fatalf("frameBytes=%d cell=%d sinr=%v: CertifiedUpperPRR=%v < PRR=%v", fb, i, sinr, up, prr)
+				}
+			}
+		}
+	}
+}
+
 // TestPRRTableForRange pins the served frame-length range: out-of-range
 // lengths get nil (callers fall back to the analytic path), in-range
 // lengths get a table that remembers its length, and repeated calls share

@@ -11,7 +11,7 @@ import (
 
 // This file implements the region-sharded dispatch path of the Medium: the
 // node set is partitioned into spatially contiguous shards, each shard runs
-// its own event wheel, and every transmission's receiver-side effects are
+// its own event wheel, and every frame's receiver-side effects are
 // handed off across the epoch barrier and applied exactly one epoch later —
 // on every shard, including the sender's own. Shifting *all* receiver-side
 // effects by the same constant E (frame appears at start+E, reception
@@ -80,30 +80,11 @@ func PartitionByRegion(geo Geometry, p Params, shards int) []int32 {
 	return out
 }
 
-// shardRec is the cross-shard image of one transmission: everything a
-// receiving shard needs to mirror the serial startTx/finishTx sweeps one
-// epoch later. data is a copy — the MAC reuses its encode buffer the
-// moment the airtime elapses on the sender's wheel, which is an epoch
-// before the last receiver resolves. powMW is indexed by the sender's
-// candidate position (like transmission.powMW); shards write disjoint
-// subranges of it. refs counts the target shards that have not yet
-// resolved; the last one retires the record to its own shard's list, and
-// the coordinator sweeps those back into the global pool at each barrier.
-type shardRec struct {
-	from    int32
-	refs    int32 // atomic
-	start   sim.Time
-	end     sim.Time
-	txPowMW float64
-	data    []byte
-	powMW   []float64
-}
-
 // shardHand is the argument of one shard's apply/resolve timer pair for
-// one record. Pooled per target shard: popped by the coordinator at the
+// one frame. Pooled per target shard: popped by the coordinator at the
 // barrier (every shard idle), pushed back by the owner after its resolve.
 type shardHand struct {
-	rec   *shardRec
+	f     *frame
 	shard int32
 }
 
@@ -112,43 +93,40 @@ type shardHand struct {
 // touches it only at barriers.
 type mediumShard struct {
 	clock    *sim.Simulator
-	outbox   []*shardRec // records started by this shard's senders this epoch
-	recFree  []*shardRec
-	recWant  int // barrier refill level: high-water of per-epoch consumption
+	outbox   []*frame // frames started by this shard's senders this epoch
+	free     []*frame
+	freeWant int // barrier refill level: high-water of per-epoch consumption
 	handFree []*shardHand
-	retired  []*shardRec // fully-resolved records awaiting the barrier sweep
+	retired  []*frame    // fully-resolved frames awaiting the barrier sweep
 	prrT     []*PRRTable // per-shard PRR-table cache (lazy growth is single-writer)
 	stats    MediumStats // this shard's share; summed into Medium.Stats at barriers
-	pad      [5]uint64   // keep neighbouring shards' hot counters off one cache line
+	pad      [4]uint64   // keep neighbouring shards' hot counters off one cache line
 }
 
 // shardedMedium bundles everything the sharded path adds to a Medium.
 type shardedMedium struct {
-	clocks  []*sim.Simulator
 	shardOf []int32
 	epoch   sim.Time
 	shards  []mediumShard
-	rxRng   []*sim.Rand // per receiver: jitter + PRR draw + LQI synthesis
-	candOff [][]int32   // per sender: shard -> [candOff[s], candOff[s+1]) in candidates
-	recPool []*shardRec
-	cursors []int // merge scratch
+	candOff [][]int32 // per sender: shard -> [candOff[s], candOff[s+1]) in candidates
+	pool    []*frame  // frames between shards: retired, refilled into free lists at barriers
+	cursors []int     // merge scratch
 
-	applyFn      func(any)
-	resolveFn    func(any)
-	senderDoneFn func(any)
+	applyFn   func(any)
+	resolveFn func(any)
 }
 
-// shardRecTarget is the initial per-shard free-list refill level. The
-// actual level tracks the high-water mark of records a shard consumed in
+// shardFreeTarget is the initial per-shard free-list refill level. The
+// actual level tracks the high-water mark of frames a shard started in
 // one epoch (its outbox length at the barrier): synchronized workloads can
-// start tens of same-instant transmissions on one shard inside a single
-// epoch, and a fixed level would leave getRec allocating on every such
-// burst while the global pool sits full.
-const shardRecTarget = 16
+// start tens of same-instant frames on one shard inside a single epoch,
+// and a fixed level would leave startTx allocating on every such burst
+// while the global pool sits full.
+const shardFreeTarget = 16
 
 // EnableSharded switches the medium to region-sharded dispatch. clocks[s]
 // is shard s's wheel, shardOf maps node to shard, and epoch is the
-// conservative lookahead E: every receiver-side effect of a transmission
+// conservative lookahead E: every receiver-side effect of a frame
 // applies exactly E after the serial model would apply it, so epoch must
 // be small enough that every protocol deadline still clears (the MAC ack
 // round-trip is the binding constraint; internal/node derives E from it).
@@ -172,20 +150,18 @@ func (m *Medium) EnableSharded(clocks []*sim.Simulator, shardOf []int32, epoch s
 	}
 	m.ch.EnableSharded(seeds, shardOf, S)
 	sh := &shardedMedium{
-		clocks:  clocks,
 		shardOf: shardOf,
 		epoch:   epoch,
 		shards:  make([]mediumShard, S),
-		rxRng:   make([]*sim.Rand, n),
 		candOff: make([][]int32, n),
 		cursors: make([]int, S),
 	}
 	for s := range sh.shards {
 		sh.shards[s].clock = clocks[s]
-		sh.shards[s].recWant = shardRecTarget
+		sh.shards[s].freeWant = shardFreeTarget
 	}
 	for i := 0; i < n; i++ {
-		sh.rxRng[i] = seeds.Light(fmt.Sprintf("shard/medium/%d", i))
+		m.rxRng[i] = seeds.Light(fmt.Sprintf("shard/medium/%d", i))
 	}
 	// Regroup every candidate list by target shard (ascending node id
 	// within a shard — a stable bucket sort of an ascending list), so each
@@ -221,21 +197,11 @@ func (m *Medium) EnableSharded(clocks []*sim.Simulator, shardOf []int32, epoch s
 	}
 	sh.applyFn = func(a any) { m.applyHand(a.(*shardHand)) }
 	sh.resolveFn = func(a any) { m.resolveHand(a.(*shardHand)) }
-	sh.senderDoneFn = func(a any) { a.(*Radio).transmitting = false }
 	m.sh = sh
 }
 
 // Sharded reports whether the medium dispatches through shards.
 func (m *Medium) Sharded() bool { return m.sh != nil }
-
-func (st *mediumShard) getRec(powCap int) *shardRec {
-	if n := len(st.recFree); n > 0 {
-		r := st.recFree[n-1]
-		st.recFree = st.recFree[:n-1]
-		return r
-	}
-	return &shardRec{powMW: make([]float64, powCap)}
-}
 
 func (st *mediumShard) getHand() *shardHand {
 	if n := len(st.handFree); n > 0 {
@@ -246,162 +212,38 @@ func (st *mediumShard) getHand() *shardHand {
 	return &shardHand{}
 }
 
-// startTxSharded mirrors the sender half of startTx on the sender's own
-// wheel: occupy the radio, copy the frame, queue the record for the next
-// barrier. All receiver-side effects happen one epoch later in applyHand/
-// resolveHand. The sender-completion event stays counted and is scheduled
-// before the caller's own completion at the same deadline, preserving the
-// serial FIFO contract the MAC relies on.
-func (m *Medium) startTxSharded(r *Radio, data []byte) sim.Time {
-	if r.transmitting {
-		panic(fmt.Sprintf("phy: radio %d Transmit while transmitting", r.id))
-	}
-	sh := m.sh
-	s := sh.shardOf[r.id]
-	st := &sh.shards[s]
-	clock := st.clock
-	now := clock.Now()
-	if r.rx != nil {
-		r.rx = nil
-		st.stats.DroppedTxWhileRx++
-	}
-	air := m.Airtime(len(data))
-	r.transmitting = true
-	if r.down {
-		// Powered off: occupy the radio for the airtime, radiate nothing.
-		clock.ScheduleArg(now+air, sh.senderDoneFn, r)
-		return air
-	}
-	st.stats.Transmissions++
-	rec := st.getRec(m.powCap)
-	rec.from = int32(r.id)
-	rec.start = now
-	rec.end = now + air
-	rec.txPowMW = r.txPowMW
-	rec.data = append(rec.data[:0], data...)
-	st.outbox = append(st.outbox, rec)
-	clock.ScheduleArg(rec.end, sh.senderDoneFn, r)
-	return air
-}
-
-// applyHand runs on the target shard at rec.start+epoch: the frame
-// "appears" to this shard's receivers, mirroring the receiver sweep of the
-// serial startTx over this shard's candidate subrange. Fading is sampled
-// at the original emission instant, so the gain is the one the serial
-// model would have used.
+// applyHand runs on the target shard at f.start+epoch: the frame
+// appears to this shard's receivers, its subrange of the sender's
+// candidates. Fading is sampled at the original emission instant, so the
+// gain is the one the serial model would have used.
 func (m *Medium) applyHand(h *shardHand) {
-	sh := m.sh
-	rec := h.rec
-	s := int(h.shard)
-	from := int(rec.from)
-	cands := m.candidates[from]
-	off := sh.candOff[from]
-	slots := m.candSlots[from]
-	st := &sh.shards[s]
-	for ci := off[s]; ci < off[s+1]; ci++ {
-		j := int(cands[ci])
-		pmw := rec.txPowMW * m.ch.gainLinSlot(from, j, slots[ci], rec.start)
-		if pmw < m.detectMW {
-			continue
-		}
-		rec.powMW[ci] = pmw
-		m.interfMW[j] += pmw
-		rj := m.radios[j]
-		switch {
-		case rj.down:
-			// Accounted as interference for symmetry with resolveHand.
-		case rj.transmitting:
-			// Inaudible to j, still interference for others via rec.powMW.
-		case rj.rx != nil:
-			if pmw > rj.rx.powerMW*m.captureLin && pmw >= m.sensMW {
-				st.stats.CaptureSwitches++
-				rj.lockOnRec(rec, pmw, m.interfMW[j]-pmw)
-			} else {
-				rj.rx.curInterfMW += pmw
-				if rj.rx.curInterfMW > rj.rx.maxInterfMW {
-					rj.rx.maxInterfMW = rj.rx.curInterfMW
-				}
-			}
-		default: // idle
-			if pmw >= m.sensMW {
-				rj.lockOnRec(rec, pmw, m.interfMW[j]-pmw)
-			}
-		}
-	}
+	off := m.sh.candOff[h.f.from]
+	m.arrive(h.f, int(off[h.shard]), int(off[h.shard+1]), &m.sh.shards[h.shard].stats)
 }
 
-// resolveHand runs on the target shard at rec.end+epoch: the airtime is
-// over, mirroring the receiver sweep of the serial finishTx. Reception
-// draws use the receiver's private stream, so outcomes cannot depend on
-// how draws from different shards would have interleaved on a shared one.
-// The last target shard to resolve retires the record.
+// resolveHand runs on the target shard at f.end+epoch: the airtime is
+// over for this shard's receivers. Their draws come from per-receiver
+// streams, so outcomes cannot depend on how draws from different shards
+// would have interleaved on a shared one. The last target shard to
+// resolve retires the frame.
 func (m *Medium) resolveHand(h *shardHand) {
-	sh := m.sh
-	rec := h.rec
-	s := int(h.shard)
-	from := int(rec.from)
-	cands := m.candidates[from]
-	off := sh.candOff[from]
-	st := &sh.shards[s]
-	now := st.clock.Now()
-	for ci := off[s]; ci < off[s+1]; ci++ {
-		pmw := rec.powMW[ci]
-		if pmw == 0 {
-			continue
-		}
-		rec.powMW[ci] = 0
-		j := int(cands[ci])
-		m.interfMW[j] -= pmw
-		if m.interfMW[j] < 0 {
-			m.interfMW[j] = 0 // rounding drift from the incremental sum
-		}
-		rj := m.radios[j]
-		rx := rj.rx
-		if rx == nil {
-			continue
-		}
-		if rx.rec != rec {
-			// This record was interference for j's ongoing reception.
-			rx.curInterfMW -= pmw
-			if rx.curInterfMW < 0 {
-				rx.curInterfMW = 0
-			}
-			continue
-		}
-		rj.rx = nil
-		noise := m.ch.NoiseMW(j, now)
-		sinrLin := rx.powerMW / (noise + m.rp.InterferenceFactor*rx.maxInterfMW)
-		sinrDB := LinearToDB(sinrLin)
-		rng := sh.rxRng[j]
-		if jitter := m.ch.PacketJitterSigmaDB(); jitter > 0 {
-			sinrDB += rng.Normal(0, jitter)
-		}
-		if m.prrDecideWith(sinrDB, len(rec.data), rng, &st.prrT) {
-			lqi, white := m.lqip.Synthesize(sinrDB, rng)
-			info := RxInfo{At: now, SNRdB: sinrDB, LQI: lqi, White: white}
-			st.stats.Delivered++
-			if rj.recv != nil {
-				rj.recv(rec.data, info)
-			}
-		} else if rx.maxInterfMW > noise*0.1 {
-			st.stats.DroppedCollision++
-		} else {
-			st.stats.DroppedBER++
-		}
-	}
+	f := h.f
+	off := m.sh.candOff[f.from]
+	st := &m.sh.shards[h.shard]
+	m.resolve(f, int(off[h.shard]), int(off[h.shard+1]), st.clock.Now(), &st.stats, &st.prrT)
 	st.handFree = append(st.handFree, h)
-	if atomic.AddInt32(&rec.refs, -1) == 0 {
-		st.retired = append(st.retired, rec)
+	if atomic.AddInt32(&f.refs, -1) == 0 {
+		st.retired = append(st.retired, f)
 	}
 }
 
 // ShardExchange is the epoch-barrier hook (sim.ShardGroup's exchange): it
 // runs on the coordinator with every shard idle at exactly the barrier
 // time. It merges the per-shard outboxes into the canonical (start, source
-// id) order and pushes each record's apply/resolve timers onto every
+// id) order and pushes each frame's apply/resolve timers onto every
 // target shard's wheel in that order — which, with the wheel's
 // FIFO-at-deadline contract, fixes every same-deadline tie identically
-// for any shard count. It then recycles retired records and refreshes the
+// for any shard count. It then recycles retired frames and refreshes the
 // aggregate stats.
 func (m *Medium) ShardExchange(barrier sim.Time) {
 	sh := m.sh
@@ -410,8 +252,8 @@ func (m *Medium) ShardExchange(barrier sim.Time) {
 	for s := 0; s < S; s++ {
 		ob := sh.shards[s].outbox
 		total += len(ob)
-		if len(ob) > sh.shards[s].recWant {
-			sh.shards[s].recWant = len(ob)
+		if len(ob) > sh.shards[s].freeWant {
+			sh.shards[s].freeWant = len(ob)
 		}
 		// A shard's outbox is start-ordered by construction (wheel time is
 		// monotone); same-instant sends by different nodes of one shard
@@ -430,23 +272,23 @@ func (m *Medium) ShardExchange(barrier sim.Time) {
 		}
 		for {
 			best := -1
-			var bestRec *shardRec
+			var bestF *frame
 			for s := 0; s < S; s++ {
 				ob := sh.shards[s].outbox
 				if cur[s] >= len(ob) {
 					continue
 				}
 				r := ob[cur[s]]
-				if best < 0 || r.start < bestRec.start || (r.start == bestRec.start && r.from < bestRec.from) {
-					best, bestRec = s, r
+				if best < 0 || r.start < bestF.start || (r.start == bestF.start && r.from < bestF.from) {
+					best, bestF = s, r
 				}
 			}
 			if best < 0 {
 				break
 			}
 			cur[best]++
-			rec := bestRec
-			off := sh.candOff[rec.from]
+			f := bestF
+			off := sh.candOff[f.from]
 			targets := int32(0)
 			for t := 0; t < S; t++ {
 				if off[t+1] > off[t] {
@@ -455,50 +297,44 @@ func (m *Medium) ShardExchange(barrier sim.Time) {
 			}
 			if targets == 0 {
 				// No receiver anywhere: recycle immediately (powMW untouched).
-				sh.recPool = append(sh.recPool, rec)
+				sh.pool = append(sh.pool, f)
 				continue
 			}
-			rec.refs = targets
+			f.refs = targets
 			for t := 0; t < S; t++ {
 				if off[t+1] == off[t] {
 					continue
 				}
 				st := &sh.shards[t]
 				h := st.getHand()
-				h.rec, h.shard = rec, int32(t)
-				st.clock.ScheduleArgSilent(rec.start+sh.epoch, sh.applyFn, h)
-				st.clock.ScheduleArgSilent(rec.end+sh.epoch, sh.resolveFn, h)
+				h.f, h.shard = f, int32(t)
+				st.clock.ScheduleArgSilent(f.start+sh.epoch, sh.applyFn, h)
+				st.clock.ScheduleArgSilent(f.end+sh.epoch, sh.resolveFn, h)
 			}
 		}
 		for s := 0; s < S; s++ {
 			sh.shards[s].outbox = sh.shards[s].outbox[:0]
 		}
 	}
-	// Recycle fully-resolved records and top the per-shard free lists up,
+	// Recycle fully-resolved frames and top the per-shard free lists up,
 	// so mid-epoch allocation stays a cold path.
 	for s := 0; s < S; s++ {
 		st := &sh.shards[s]
 		if len(st.retired) > 0 {
-			sh.recPool = append(sh.recPool, st.retired...)
+			sh.pool = append(sh.pool, st.retired...)
 			st.retired = st.retired[:0]
 		}
 	}
 	for s := 0; s < S; s++ {
 		st := &sh.shards[s]
-		for len(st.recFree) < st.recWant && len(sh.recPool) > 0 {
-			n := len(sh.recPool) - 1
-			st.recFree = append(st.recFree, sh.recPool[n])
-			sh.recPool = sh.recPool[:n]
+		for len(st.free) < st.freeWant && len(sh.pool) > 0 {
+			n := len(sh.pool) - 1
+			st.free = append(st.free, sh.pool[n])
+			sh.pool = sh.pool[:n]
 		}
 	}
 	m.Stats = MediumStats{}
 	for s := 0; s < S; s++ {
-		st := &sh.shards[s].stats
-		m.Stats.Transmissions += st.Transmissions
-		m.Stats.Delivered += st.Delivered
-		m.Stats.DroppedBER += st.DroppedBER
-		m.Stats.DroppedCollision += st.DroppedCollision
-		m.Stats.CaptureSwitches += st.CaptureSwitches
-		m.Stats.DroppedTxWhileRx += st.DroppedTxWhileRx
+		m.Stats.add(&sh.shards[s].stats)
 	}
 }

@@ -2,6 +2,7 @@ package phy
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -37,13 +38,13 @@ func shardedTestbed(t *testing.T, tp *topo.Topology, shards int, seed uint64) ([
 	return clocks, shardOf, m, g
 }
 
-// runShardScript drives a fixed transmission script over a 12-node line
+// runShardScript drives a fixed send script over a 12-node line
 // under the given shard count and returns a full textual trace: every
 // delivery with its exact timing/LQI/SNR bit patterns, the medium stats,
 // and the counted event total. The script deliberately mixes staggered
 // sends, same-instant bursts from different regions (the merge-order
 // stress), overlapping airtimes (collisions/capture), and a mid-run radio
-// outage toggled at an epoch barrier.
+// outage toggled at an epoch barrier while that radio is mid-reception.
 func runShardScript(t *testing.T, shards int) string {
 	t.Helper()
 	const n = 12
@@ -72,12 +73,17 @@ func runShardScript(t *testing.T, shards int) string {
 		send(20*sim.Millisecond, i)                              // the whole line at one instant
 		send(40*sim.Millisecond+sim.Time(i%3)*sim.Millisecond, i)
 	}
+	send(29500*sim.Microsecond, 4) // still on the air at radio 5 when it goes down
 	g.ScheduleControl(30*sim.Millisecond, func() { m.Radio(5).SetDown(true) })
 	g.ScheduleControl(50*sim.Millisecond, func() { m.Radio(5).SetDown(false) })
 	for i := 0; i < n; i += 2 {
 		send(55*sim.Millisecond, i)
 	}
 	g.RunUntil(70 * sim.Millisecond)
+	if m.Stats.DroppedRadioDown != 1 {
+		t.Errorf("shards=%d: DroppedRadioDown = %d, want 1 (radio 5 goes down mid-reception)",
+			shards, m.Stats.DroppedRadioDown)
+	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "stats=%+v events=%d\n", m.Stats, g.Events())
@@ -139,6 +145,25 @@ func TestShardHandoffMergeOrder(t *testing.T) {
 		}
 		if len(got) != 1 || got[0] != "from=0" {
 			t.Errorf("shards=%d: delivered %v, want exactly the strong frame from node 0", shards, got)
+		}
+	}
+}
+
+// TestMediumStatsAddCoversEveryField guards the barrier merge: a counter
+// added to MediumStats but not to add would silently read zero in
+// Medium.Stats on the sharded path.
+func TestMediumStatsAddCoversEveryField(t *testing.T) {
+	var one, sum MediumStats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(uint64(i + 1))
+	}
+	sum.add(&one)
+	sum.add(&one)
+	s := reflect.ValueOf(sum)
+	for i := 0; i < s.NumField(); i++ {
+		if got, want := s.Field(i).Uint(), 2*uint64(i+1); got != want {
+			t.Errorf("MediumStats.add: %s = %d, want %d", s.Type().Field(i).Name, got, want)
 		}
 	}
 }
