@@ -82,18 +82,24 @@ func TestFeatureBitBehavioralDeltas(t *testing.T) {
 
 // TestWhiteCompareBitGatesAdmission pins the other half of the matrix: with
 // a full one-entry table and the lottery disabled, only the WhiteCompare
-// variants admit a compare-qualified newcomer; the others must reject it.
-// The ack bit plays no role in admission.
+// variants admit a compare-qualified newcomer; the others must reject it
+// without asking the compare bit. The ack bit plays no role in admission,
+// but decides whether unicast failures move the incumbent's estimate. The
+// beacon-only kinds honour neither bit, whatever cfg.Features says.
 func TestWhiteCompareBitGatesAdmission(t *testing.T) {
 	cases := []struct {
 		name     string
+		kind     EstimatorKind
 		features Features
 		admitted bool
+		txMoves  bool // (rejected cases) failed unicasts move the incumbent's estimate
 	}{
-		{"4B", FourBit(), true},
-		{"WhiteCompare-only", Features{WhiteCompare: true}, true},
-		{"AckBit-only", Features{AckBit: true}, false},
-		{"BroadcastOnly", BroadcastOnly(), false},
+		{"4B", KindFourBit, FourBit(), true, false},
+		{"WhiteCompare-only", KindFourBit, Features{WhiteCompare: true}, true, false},
+		{"AckBit-only", KindFourBit, Features{AckBit: true}, false, true},
+		{"BroadcastOnly", KindFourBit, BroadcastOnly(), false, false},
+		{"wmewma", KindWMEWMA, FourBit(), false, false},
+		{"pdr", KindPDR, FourBit(), false, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -101,24 +107,44 @@ func TestWhiteCompareBitGatesAdmission(t *testing.T) {
 			cfg.TableSize = 1
 			cfg.LotteryProb = 0 // isolate the compare path from the FREQUENCY lottery
 			cfg.Features = c.features
-			est := New(self, cfg, ComparerFunc(func(packet.Addr, []byte) bool { return true }), sim.NewRand(1))
-			beacon(t, est, 7, 1, true) // fills the single slot
-			beacon(t, est, 8, 1, true) // newcomer, white, compare says yes
+			always := ComparerFunc(func(packet.Addr, []byte) bool { return true })
+			est, err := NewKind(c.kind, self, cfg, always, sim.NewRand(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			est.SetComparer(always)
+			// Fill the single slot with an incumbent that has an estimate.
+			for seq := uint16(1); seq <= uint16(cfg.MAWindow); seq++ {
+				kindBeacon(t, est, 7, seq, 255, 100)
+			}
+			before, ok := est.Quality(7)
+			if !ok {
+				t.Fatal("incumbent has no estimate")
+			}
+			kindBeacon(t, est, 8, 1, 255, 100) // newcomer, white, compare says yes
 			gotEntry := est.Table().Find(8) != nil
 			if gotEntry != c.admitted {
 				t.Fatalf("newcomer admitted = %v, want %v", gotEntry, c.admitted)
 			}
+			st := est.Counters()
 			if c.admitted {
-				if est.Stats.Replaced != 1 || est.Stats.CompareAsked != 1 || est.Stats.CompareTrue != 1 {
-					t.Errorf("stats = %+v, want one compare-gated replacement", est.Stats)
+				if st.Replaced != 1 || st.CompareAsked != 1 || st.CompareTrue != 1 {
+					t.Errorf("stats = %+v, want one compare-gated replacement", st)
 				}
 				if est.Table().Find(7) != nil {
 					t.Error("victim survived a one-entry replacement")
 				}
-			} else {
-				if est.Stats.RejectedFull != 1 || est.Stats.CompareAsked != 0 {
-					t.Errorf("stats = %+v, want one silent rejection", est.Stats)
-				}
+				return
+			}
+			if st.RejectedFull != 1 || st.CompareAsked != 0 {
+				t.Errorf("stats = %+v, want one silent rejection", st)
+			}
+			for i := 0; i < 2*cfg.UnicastWindow; i++ {
+				est.TxResult(7, false)
+			}
+			after, _ := est.Quality(7)
+			if moved := after != before; moved != c.txMoves {
+				t.Errorf("failed unicasts moved the estimate = %v (%v -> %v), want %v", moved, before, after, c.txMoves)
 			}
 		})
 	}

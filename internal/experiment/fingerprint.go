@@ -15,11 +15,16 @@ func hexf(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
 // diff it against committed references, and the spatial-culling
 // differential harness diffs it across channel representations: two runs
 // fingerprint identically iff their trajectories were bit-for-bit the
-// same.
+// same. The header names the estimator kind only when RunConfig.Estimator
+// selects one, so fingerprints of default-kind runs keep their old bytes.
 func Fingerprint(rc RunConfig, res *Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "run proto=%v topo=%s seed=%d power=%s dur=%v\n",
+	fmt.Fprintf(&b, "run proto=%v topo=%s seed=%d power=%s dur=%v",
 		rc.Protocol, rc.Topo.Name, rc.Seed, hexf(rc.TxPowerDBm), rc.Duration)
+	if rc.Estimator != "" {
+		fmt.Fprintf(&b, " est=%s", rc.Estimator)
+	}
+	b.WriteByte('\n')
 	fmt.Fprintf(&b, "  generated=%d unique=%d dups=%d datatx=%d beacontx=%d events=%d detached=%d\n",
 		res.Generated, res.Unique, res.Duplicates, res.DataTx, res.BeaconTx, res.Events, res.Detached)
 	fmt.Fprintf(&b, "  delivery=%s cost=%s meandepth=%s meanhops=%s\n",

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"fourbit/internal/core"
 	"fourbit/internal/sim"
 	"fourbit/internal/topo"
 )
@@ -24,6 +25,8 @@ import (
 
 var updateGoldens = flag.Bool("update-goldens", false, "rewrite testdata/golden_runs.txt from the current model")
 
+// The last three configs pin the non-default estimator kinds under the 4B
+// feature set, which those kinds must not honour.
 func goldenConfigs() []RunConfig {
 	short := func(rc RunConfig) RunConfig {
 		rc.Duration = 2 * sim.Minute
@@ -40,7 +43,15 @@ func goldenConfigs() []RunConfig {
 			rc.TxPowerDBm = -10
 			return rc
 		}(),
+		withKind(short(DefaultRunConfig(Proto4B, topo.Mirage(5), 5)), core.KindWMEWMA),
+		withKind(short(DefaultRunConfig(Proto4B, topo.Mirage(6), 6)), core.KindPDR),
+		withKind(short(DefaultRunConfig(Proto4B, topo.Mirage(7), 7)), core.KindLQI),
 	}
+}
+
+func withKind(rc RunConfig, kind core.EstimatorKind) RunConfig {
+	rc.Estimator = kind
+	return rc
 }
 
 func TestGoldenRunFingerprints(t *testing.T) {
