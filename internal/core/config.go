@@ -9,8 +9,9 @@ import (
 // Config parameterizes the estimators. The defaults are the paper's: a
 // 10-entry table, unicast window ku=5, beacon window kb=2, and EWMA weights
 // of 0.9 for both the beacon-PRR stream and the outer hybrid ETX stream.
-// The non-four-bit estimator kinds read the same knobs (table size, alphas,
-// eviction policy) plus MAWindow, so one Config parameterizes any kind.
+// The other estimator kinds read the same knobs (table size, alphas,
+// eviction policy) plus MAWindow, so one Config parameterizes any kind;
+// only the 4bit kind honours Features.
 type Config struct {
 	TableSize     int
 	UnicastWindow int     // ku: transmissions per unicast ETX sample
@@ -21,8 +22,8 @@ type Config struct {
 	FooterEntries int     // link-info entries advertised per beacon
 	MaxSeqGap     int     // larger beacon seq gaps reinitialize the window
 	// MAWindow is the moving-average window (in beacons) of the wmewma and
-	// pdr estimator kinds; 0 means the default (the four-bit estimator does
-	// not read it — its windows are BeaconWindow and UnicastWindow).
+	// pdr estimator kinds, which use it in place of BeaconWindow; 0 means
+	// the default. The 4bit kind does not read it.
 	MAWindow int
 	// EvictETX is the standard (Woo et al. / TinyOS) replacement policy:
 	// with a full table, a newcomer may displace the unpinned entry with

@@ -24,9 +24,14 @@
 //
 // The package is also an estimator framework: LinkEstimator is the
 // router-facing contract, and the four-bit design is one of several
-// registered implementations (EstimatorKinds) — a Woo-style beacon-only
-// WMEWMA, a windowed-mean PDR estimator, and a pure-LQI moving average —
-// so the paper's comparative claims can be tested with the estimator, not
-// the router, as the experimental variable. See linkestimator.go for the
-// contract and policy.go for the mechanics the kinds share.
+// registered kinds (EstimatorKinds) — a Woo-style beacon-only WMEWMA, a
+// windowed-mean PDR estimator, and a pure-LQI moving average — so the
+// paper's comparative claims can be tested with the estimator, not the
+// router, as the experimental variable. The three beacon-counting kinds
+// are one type, Estimator: its kind decides the beacon window, which
+// feature bits it honours, and the publish step (see Estimator.derive).
+// The LQI kind is LQIEstimator, a separate algorithm. Every kind admits
+// through the one policy in policy.go (admit), which takes the
+// white/compare step only for a kind that honours it. See linkestimator.go
+// for the contract and policy.go for the mechanics the kinds share.
 package core

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fourbit/internal/packet"
-	"fourbit/internal/probe"
 	"fourbit/internal/sim"
 )
 
@@ -46,15 +45,22 @@ func SumStats(ests []LinkEstimator) Stats {
 	return sum
 }
 
-// Estimator is the 4B link estimator (and, via Config.Features, its
-// ablations). It acts as a layer 2.5: routing beacons pass through
+// Estimator is the beacon-counting link estimator: the paper's four-bit
+// hybrid (with its Figure 6 ablations via Config.Features) and the
+// beacon-only wmewma and pdr kinds, which differ from it only in what
+// derive sets. It acts as a layer 2.5: routing beacons pass through
 // MakeBeacon / OnBeacon, which add and strip the LE envelope.
 type Estimator struct {
 	tableView
-	cfg  Config
-	self packet.Addr
+	kind EstimatorKind
+	cfg  Config // as configured; snapshots carry it verbatim
 	cmp  Comparer
 	rng  *sim.Rand
+
+	// What the kind decides, set by derive.
+	window             int      // beacons per PRR sample
+	feat               Features // the feature bits the kind honours
+	prrAlpha, etxAlpha float64  // the publish step's EWMA weights
 
 	beaconSeq     uint16
 	footerIdx     int
@@ -66,23 +72,50 @@ type Estimator struct {
 // Estimator implements LinkEstimator.
 var _ LinkEstimator = (*Estimator)(nil)
 
-// New builds an estimator for node self. cmp supplies the compare bit (nil
-// disables it, as for protocols whose network layer cannot judge routes).
+// New builds a four-bit estimator for node self. cmp supplies the compare
+// bit (nil disables it, as for protocols whose network layer cannot judge
+// routes).
 func New(self packet.Addr, cfg Config, cmp Comparer, rng *sim.Rand) *Estimator {
+	return newEstimator(KindFourBit, self, cfg, cmp, rng)
+}
+
+// newEstimator builds a beacon-counting estimator of the given kind.
+func newEstimator(kind EstimatorKind, self packet.Addr, cfg Config, cmp Comparer, rng *sim.Rand) *Estimator {
 	if err := cfg.Validate(); err != nil {
 		panic("core: invalid estimator config: " + err.Error())
 	}
-	return &Estimator{
+	est := &Estimator{
 		tableView: tableView{table: newTable(cfg.TableSize), self: self},
+		kind:      kind,
 		cfg:       cfg,
-		self:      self,
 		cmp:       cmp,
 		rng:       rng,
+	}
+	est.derive()
+	return est
+}
+
+// derive sets the three things the kind decides from the kind and cfg:
+//   - the window: BeaconWindow for 4bit, MAWindow otherwise;
+//   - the bits it honours: cfg.Features for 4bit, none otherwise;
+//   - the publish step: the double EWMA over cfg's alphas, or for pdr
+//     both weights at 0, which publishes the window mean unsmoothed.
+func (est *Estimator) derive() {
+	c := &est.cfg
+	est.window, est.feat = c.BeaconWindow, c.Features
+	est.prrAlpha, est.etxAlpha = c.PRRAlpha, c.ETXAlpha
+	if est.kind == KindFourBit {
+		return
+	}
+	est.window, est.feat = c.maWindow(), Features{}
+	if est.kind == KindPDR {
+		est.prrAlpha, est.etxAlpha = 0, 0
 	}
 }
 
 // SetComparer installs the network layer's compare-bit provider after
 // construction (the routing engine is usually built after the estimator).
+// Only a kind that honours WhiteCompare ever asks it.
 func (est *Estimator) SetComparer(cmp Comparer) { est.cmp = cmp }
 
 // Counters implements LinkEstimator.
@@ -105,9 +138,10 @@ func (est *Estimator) MakeBeacon(netPayload []byte) *packet.LEFrame {
 
 // OnBeacon processes a received routing beacon (already stripped of its MAC
 // frame): sequence-number accounting for the inbound PRR window, footer
-// processing for reverse quality, and the white/compare table-insertion
-// policy of §3.3. It returns the network payload for delivery upward, and
-// false if the beacon was malformed.
+// processing for reverse quality, and table admission — with the
+// white/compare step of §3.3 when the kind honours WhiteCompare. It
+// returns the network payload for delivery upward, and false if the beacon
+// was malformed.
 func (est *Estimator) OnBeacon(src packet.Addr, le *packet.LEFrame, meta RxMeta, now sim.Time) ([]byte, bool) {
 	if le == nil {
 		return nil, false
@@ -115,7 +149,11 @@ func (est *Estimator) OnBeacon(src packet.Addr, le *packet.LEFrame, meta RxMeta,
 	est.Stats.BeaconsIn++
 	e := est.table.Find(src)
 	if e == nil {
-		e = est.admit(src, le, meta)
+		var cmp Comparer
+		if est.feat.WhiteCompare && meta.White {
+			cmp = est.cmp
+		}
+		e = admit(&est.tableView, est.rng, &est.cfg, &est.Stats, src, cmp, le.NetPayload)
 	}
 	if e != nil {
 		accountSeq(e, le.Seq, est.cfg.MaxSeqGap, now)
@@ -125,62 +163,10 @@ func (est *Estimator) OnBeacon(src packet.Addr, le *packet.LEFrame, meta RxMeta,
 	return le.NetPayload, true
 }
 
-// admit decides whether a beacon from an unknown neighbor earns a table
-// slot. Free slots are always granted (Woo et al.). With a full table, the
-// WhiteCompare feature admits promising senders by evicting a random
-// unpinned entry (§3.3); independent of that, the standard replacement
-// policy lets a newcomer displace the unpinned entry with the worst
-// effective ETX when that entry is bad enough to be useless.
-//
-// This is admitBasic (policy.go) with the white/compare step spliced
-// between eviction and lottery — the one admission move unique to the 4B
-// design. A policy change made here likely belongs in admitBasic too.
-func (est *Estimator) admit(src packet.Addr, le *packet.LEFrame, meta RxMeta) *Entry {
-	if e := est.table.Insert(src); e != nil {
-		est.Stats.Inserted++
-		est.probes.Table(est.self, src, probe.OpInsert)
-		return e
-	}
-	// Standard policy first: displace a demonstrably useless entry. This
-	// keeps squatters from poisoning the white/compare path below.
-	if victim, ok := evictWorst(est.table, est.cfg.MaxETX, est.cfg.EvictETX); ok {
-		est.Stats.Replaced++
-		est.emitReplace(victim, src)
-		return mustInsert(est.table, src)
-	}
-	if est.cfg.Features.WhiteCompare && meta.White && est.cmp != nil {
-		est.Stats.CompareAsked++
-		if est.cmp.CompareBit(src, le.NetPayload) {
-			est.Stats.CompareTrue++
-			if victim, ok := evictForReplacement(est.table, est.cfg.MaxETX, est.rng); ok {
-				est.Stats.Replaced++
-				est.emitReplace(victim, src)
-				return mustInsert(est.table, src)
-			}
-		}
-	}
-	// FREQUENCY lottery (Woo et al.): persistent senders eventually win a
-	// slot even when every incumbent looks individually fine. The victim
-	// is the worst unpinned entry, never a random good one — otherwise
-	// rarely-heard phantom neighbors (one lucky fade per hour) would
-	// erode real links in sparse low-power networks.
-	if est.rng.Bernoulli(est.cfg.LotteryProb) {
-		if victim, ok := evictForReplacement(est.table, est.cfg.MaxETX, est.rng); ok {
-			est.Stats.Replaced++
-			est.Stats.LotteryWins++
-			est.emitReplace(victim, src)
-			return mustInsert(est.table, src)
-		}
-	}
-	est.Stats.RejectedFull++
-	est.probes.Table(est.self, src, probe.OpReject)
-	return nil
-}
-
 // completeBeaconWindow folds a finished beacon window into the PRR EWMA and
 // pushes the resulting ETX sample into the hybrid estimate, per Figure 5.
 func (est *Estimator) completeBeaconWindow(e *Entry) {
-	if e.rcvd+e.missed < est.cfg.BeaconWindow {
+	if e.rcvd+e.missed < est.window {
 		return
 	}
 	sample := float64(e.rcvd) / float64(e.rcvd+e.missed)
@@ -190,7 +176,7 @@ func (est *Estimator) completeBeaconWindow(e *Entry) {
 		e.prrInit = true
 		e.prrEwma = sample
 	} else {
-		a := est.cfg.PRRAlpha
+		a := est.prrAlpha
 		e.prrEwma = a*e.prrEwma + (1-a)*sample
 	}
 	est.Stats.BeaconWindows++
@@ -200,7 +186,7 @@ func (est *Estimator) completeBeaconWindow(e *Entry) {
 	// (§3.3: incoming estimates only); without it, the classic broadcast
 	// estimator needs the neighbor-reported reverse quality.
 	var etxSample float64
-	if est.cfg.Features.AckBit {
+	if est.feat.AckBit {
 		etxSample = invQuality(e.prrEwma, est.cfg.MaxETX)
 	} else {
 		if !e.outValid {
@@ -208,13 +194,14 @@ func (est *Estimator) completeBeaconWindow(e *Entry) {
 		}
 		etxSample = invQuality(e.prrEwma*e.outQuality, est.cfg.MaxETX)
 	}
-	foldETX(e, etxSample, est.cfg.ETXAlpha, est.cfg.MaxETX)
+	foldETX(e, etxSample, est.etxAlpha, est.cfg.MaxETX)
 }
 
 // TxResult feeds the ack bit for one unicast transmission to dest (§3.1:
-// one bit per transmitted packet). Variants without the ack bit ignore it.
+// one bit per transmitted packet). Kinds and variants without the ack bit
+// ignore it.
 func (est *Estimator) TxResult(dest packet.Addr, acked bool) {
-	if !est.cfg.Features.AckBit {
+	if !est.feat.AckBit {
 		return
 	}
 	e := est.table.Find(dest)

@@ -36,7 +36,7 @@ func wantKindETX(t *testing.T, est LinkEstimator, addr packet.Addr, want float64
 func TestWMEWMAWorkedExample(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MAWindow = 4
-	est := NewWMEWMA(self, cfg, sim.NewRand(1))
+	est := newEstimator(KindWMEWMA, self, cfg, nil, sim.NewRand(1))
 
 	// Window 1: beacons 1..4 all received, reverse quality 255 (1.0).
 	// PRR EWMA initializes to 1.0; ETX = 1/(1.0*1.0) = 1.0.
@@ -71,7 +71,7 @@ func TestWMEWMAWorkedExample(t *testing.T) {
 }
 
 func TestWMEWMANeedsReverseQuality(t *testing.T) {
-	est := NewWMEWMA(self, DefaultConfig(), sim.NewRand(1))
+	est := newEstimator(KindWMEWMA, self, DefaultConfig(), nil, sim.NewRand(1))
 	// Beacons without our address in the footer: inbound PRR is known but
 	// no bidirectional estimate can form.
 	for seq := uint16(1); seq <= 10; seq++ {
@@ -86,7 +86,7 @@ func TestWMEWMANeedsReverseQuality(t *testing.T) {
 func TestPDRWorkedExample(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MAWindow = 4
-	est := NewPDR(self, cfg, sim.NewRand(1))
+	est := newEstimator(KindPDR, self, cfg, nil, sim.NewRand(1))
 
 	// Window 1: 4/4 received at reverse quality 1.0 → ETX exactly 1.
 	for seq := uint16(1); seq <= 4; seq++ {

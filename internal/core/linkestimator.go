@@ -9,11 +9,10 @@ import (
 )
 
 // LinkEstimator is the router-facing contract every link estimator
-// implements. The paper's four-bit hybrid (Estimator) is one implementation;
-// WMEWMA (beacon-only windowed ETX), PDREstimator (windowed-mean reception
-// ratio) and LQIEstimator (pure physical-layer moving average) are competing
-// designs that plug into the same router, so estimator choice becomes an
-// experiment axis instead of a protocol fork.
+// implements. Estimator implements the paper's four-bit hybrid and the
+// competing beacon-counting kinds (KindWMEWMA, KindPDR); LQIEstimator is a
+// pure physical-layer moving average. All plug into the same router, so
+// estimator choice becomes an experiment axis instead of a protocol fork.
 //
 // The contract has four parts:
 //
@@ -99,15 +98,30 @@ const (
 	// EWMA bootstrap + unicast ack-bit windows + white/compare admission),
 	// including its Figure 6 ablations via Config.Features.
 	KindFourBit EstimatorKind = "4bit"
-	// KindWMEWMA is the Woo-style beacon-only estimator: windowed-mean
-	// reception ratio smoothed by an EWMA, made bidirectional through
-	// beacon footers — the paper's "no unicast bit" baseline generalized
-	// to its own window length (Config.MAWindow).
+	// KindWMEWMA is the Woo-style beacon-only estimator (the WMEWMA of
+	// "Taming the Underlying Challenges of Reliable Multihop Routing in
+	// Sensor Networks"): the inbound beacon reception ratio over a window
+	// of Config.MAWindow beacons is smoothed by an EWMA, combined with the
+	// neighbor-advertised reverse quality from beacon footers, and
+	// inverted into a bidirectional ETX through the outer EWMA. It is the
+	// four-bit Estimator with its own window length and no feature bit
+	// honoured, whatever Config.Features says — the paper's "CTP without
+	// the unicast bit" baseline. TxResult and OnOverhear are strict
+	// no-ops and admission never asks the compare bit, so its window
+	// turns over only at beacon cadence, which Trickle decays to minutes:
+	// the estimator the paper argues is too sluggish to track data-path
+	// failures.
 	KindWMEWMA EstimatorKind = "wmewma"
-	// KindPDR is a windowed-mean packet-delivery-ratio estimator (the
-	// simple-moving-average family of arXiv:2411.12265): the latest
-	// window's reception ratio is the estimate, with no exponential
-	// smoothing — maximally agile, maximally noisy.
+	// KindPDR is a windowed-mean packet-delivery-ratio estimator, the
+	// simple-moving-average family studied by "On the Accuracy and
+	// Precision of Moving Averages to Estimate Wi-Fi Link Quality"
+	// (arXiv:2411.12265). It is KindWMEWMA with both EWMA weights at zero:
+	// the latest MAWindow-beacon reception ratio is the estimate (and is
+	// advertised verbatim in footers), combined with the footer reverse
+	// quality into a bidirectional ETX. Against KindWMEWMA it trades
+	// precision for accuracy under change: a link shift is fully
+	// reflected after one window, but every estimate carries the full
+	// sampling noise of a MAWindow-packet Bernoulli trial.
 	KindPDR EstimatorKind = "pdr"
 	// KindLQI is a pure physical-layer estimator: an EWMA over the LQI of
 	// received frames, mapped to an ETX-comparable cost by the MultiHopLQI
@@ -143,12 +157,10 @@ func NewKind(kind EstimatorKind, self packet.Addr, cfg Config, cmp Comparer, rng
 		return nil, err
 	}
 	switch kind {
-	case "", KindFourBit:
+	case "":
 		return New(self, cfg, cmp, rng), nil
-	case KindWMEWMA:
-		return NewWMEWMA(self, cfg, rng), nil
-	case KindPDR:
-		return NewPDR(self, cfg, rng), nil
+	case KindFourBit, KindWMEWMA, KindPDR:
+		return newEstimator(kind, self, cfg, cmp, rng), nil
 	case KindLQI:
 		return NewLQIEstimator(self, cfg, rng), nil
 	default:

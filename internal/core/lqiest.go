@@ -65,9 +65,8 @@ func ETXFromLQI(lqi float64, maxETX float64) float64 {
 // neighbors not heard within the silence budget.
 type LQIEstimator struct {
 	tableView
-	cfg  Config
-	self packet.Addr
-	rng  *sim.Rand
+	cfg Config
+	rng *sim.Rand
 
 	beaconSeq     uint16
 	beaconScratch packet.LEFrame // MakeBeacon's reusable envelope
@@ -85,7 +84,6 @@ func NewLQIEstimator(self packet.Addr, cfg Config, rng *sim.Rand) *LQIEstimator 
 	return &LQIEstimator{
 		tableView: tableView{table: newTable(cfg.TableSize), self: self},
 		cfg:       cfg,
-		self:      self,
 		rng:       rng,
 	}
 }
@@ -116,7 +114,7 @@ func (est *LQIEstimator) OnBeacon(src packet.Addr, le *packet.LEFrame, meta RxMe
 	est.stats.BeaconsIn++
 	e := est.table.Find(src)
 	if e == nil {
-		e = admitBasic(&est.tableView, est.rng, &est.cfg, &est.stats, src)
+		e = admit(&est.tableView, est.rng, &est.cfg, &est.stats, src, nil, nil)
 	}
 	if e != nil {
 		e.lastHeard = now

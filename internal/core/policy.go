@@ -7,10 +7,10 @@ import (
 )
 
 // Shared estimator mechanics. Every LinkEstimator kind manages the same
-// fixed-capacity Table, speaks the same LE beacon envelope, counts beacon
-// sequence numbers the same way, and (except for admission details) evicts
-// by the same Woo-style policy — so those mechanics live here, and each
-// estimator file contains only what makes that estimator different.
+// fixed-capacity Table, speaks the same LE beacon envelope, and admits and
+// evicts by the same Woo-style policy (admit) — so those mechanics live
+// here, and each estimator file contains only what makes that estimator
+// different.
 
 // tableView provides the neighbor-table half of the LinkEstimator contract
 // over a shared *Table, plus the probe-bus plumbing every kind shares.
@@ -136,24 +136,45 @@ func mustInsert(t *Table, src packet.Addr) *Entry {
 	return e
 }
 
-// admitBasic is the admission policy of the non-four-bit estimators: free
-// slots are always granted; otherwise the standard replacement policy
-// (displace a useless entry whose effective ETX reaches EvictETX) and the
-// FREQUENCY lottery apply — the four-bit white/compare path in between is
-// the one admission step unique to that design. Admission outcomes are
+// admit decides whether a beacon from an unknown neighbor earns a table
+// slot; it is the admission policy of every kind. Free slots are always
+// granted (Woo et al.). With a full table, the standard replacement policy
+// lets a newcomer displace the unpinned entry with the worst effective ETX
+// when that entry is bad enough to be useless. Next, only when the caller
+// passes a comparer, comes the white/compare step unique to the 4B design
+// (§3.3): the network layer is asked whether src offers a better route, and
+// a yes evicts for it. Last, the FREQUENCY lottery. Admission outcomes are
 // emitted as table events through the view's probe bus.
-func admitBasic(v *tableView, rng *sim.Rand, cfg *Config, stats *Stats, src packet.Addr) *Entry {
+func admit(v *tableView, rng *sim.Rand, cfg *Config, stats *Stats, src packet.Addr, cmp Comparer, netPayload []byte) *Entry {
 	t := v.table
 	if e := t.Insert(src); e != nil {
 		stats.Inserted++
 		v.probes.Table(v.self, src, probe.OpInsert)
 		return e
 	}
+	// Standard policy first: displace a demonstrably useless entry. This
+	// keeps squatters from poisoning the white/compare path below.
 	if victim, ok := evictWorst(t, cfg.MaxETX, cfg.EvictETX); ok {
 		stats.Replaced++
 		v.emitReplace(victim, src)
 		return mustInsert(t, src)
 	}
+	if cmp != nil {
+		stats.CompareAsked++
+		if cmp.CompareBit(src, netPayload) {
+			stats.CompareTrue++
+			if victim, ok := evictForReplacement(t, cfg.MaxETX, rng); ok {
+				stats.Replaced++
+				v.emitReplace(victim, src)
+				return mustInsert(t, src)
+			}
+		}
+	}
+	// FREQUENCY lottery (Woo et al.): persistent senders eventually win a
+	// slot even when every incumbent looks individually fine. The victim
+	// is the worst unpinned entry, never a random good one — otherwise
+	// rarely-heard phantom neighbors (one lucky fade per hour) would
+	// erode real links in sparse low-power networks.
 	if rng.Bernoulli(cfg.LotteryProb) {
 		if victim, ok := evictForReplacement(t, cfg.MaxETX, rng); ok {
 			stats.Replaced++
@@ -234,111 +255,6 @@ func buildBeacon(le *packet.LEFrame, t *Table, seq uint16, footerIdx *int, foote
 	}
 	if n > 0 {
 		*footerIdx = (*footerIdx + 1) % n
-	}
-}
-
-// beaconKind is the machinery shared by the windowed beacon-driven
-// estimator kinds (wmewma, pdr): sequence-window accounting over MAWindow
-// beacons, footer reverse quality, basic admission, silence aging, and the
-// standard beacon envelope. The concrete kind supplies only publish — how
-// a finished window's reception ratio becomes the published estimate —
-// which is exactly where the moving-average families differ.
-type beaconKind struct {
-	tableView
-	cfg    Config
-	self   packet.Addr
-	rng    *sim.Rand
-	window int
-
-	beaconSeq     uint16
-	footerIdx     int
-	beaconScratch packet.LEFrame // MakeBeacon's reusable envelope
-
-	stats   Stats
-	publish func(e *Entry, sample float64)
-}
-
-func newBeaconKind(self packet.Addr, cfg Config, rng *sim.Rand) beaconKind {
-	if err := cfg.Validate(); err != nil {
-		panic("core: invalid estimator config: " + err.Error())
-	}
-	return beaconKind{
-		tableView: tableView{table: newTable(cfg.TableSize), self: self},
-		cfg:       cfg,
-		self:      self,
-		rng:       rng,
-		window:    cfg.maWindow(),
-	}
-}
-
-// SetComparer implements LinkEstimator; the beacon-only kinds never ask
-// the network layer anything, so the comparer is ignored.
-func (k *beaconKind) SetComparer(cmp Comparer) {}
-
-// Counters implements LinkEstimator.
-func (k *beaconKind) Counters() Stats { return k.stats }
-
-// MakeBeacon implements LinkEstimator: the footer advertises inbound
-// reception ratios, which neighbors need for the reverse half of their
-// bidirectional estimates.
-func (k *beaconKind) MakeBeacon(netPayload []byte) *packet.LEFrame {
-	k.beaconSeq++
-	buildBeacon(&k.beaconScratch, k.table, k.beaconSeq, &k.footerIdx, k.cfg.FooterEntries, netPayload)
-	return &k.beaconScratch
-}
-
-// OnBeacon implements LinkEstimator: sequence accounting over the MAWindow
-// beacon window, footer processing for reverse quality, basic (no compare
-// bit) admission.
-func (k *beaconKind) OnBeacon(src packet.Addr, le *packet.LEFrame, meta RxMeta, now sim.Time) ([]byte, bool) {
-	if le == nil {
-		return nil, false
-	}
-	k.stats.BeaconsIn++
-	e := k.table.Find(src)
-	if e == nil {
-		e = admitBasic(&k.tableView, k.rng, &k.cfg, &k.stats, src)
-	}
-	if e != nil {
-		accountSeq(e, le.Seq, k.cfg.MaxSeqGap, now)
-		scanFooter(e, le, k.self)
-		k.completeWindow(e)
-	}
-	return le.NetPayload, true
-}
-
-// completeWindow closes a filled window and hands its reception ratio to
-// the kind's publish hook.
-func (k *beaconKind) completeWindow(e *Entry) {
-	if e.rcvd+e.missed < k.window {
-		return
-	}
-	sample := float64(e.rcvd) / float64(e.rcvd+e.missed)
-	e.rcvd, e.missed = 0, 0
-	e.windows++
-	k.stats.BeaconWindows++
-	k.publish(e, sample)
-}
-
-// TxResult implements LinkEstimator as a strict no-op: beacon-only
-// estimation is blind to unicast outcomes — the ablated bit these kinds
-// exist to demonstrate.
-func (k *beaconKind) TxResult(dest packet.Addr, acked bool) {}
-
-// OnOverhear implements LinkEstimator as a strict no-op.
-func (k *beaconKind) OnOverhear(src packet.Addr, meta RxMeta, now sim.Time) {}
-
-// Age injects one synthetic missed beacon per silent entry, as the
-// four-bit estimator does.
-func (k *beaconKind) Age(maxSilence sim.Time, now sim.Time) {
-	for _, e := range k.table.Entries() {
-		if !e.seqInit || now-e.lastHeard <= maxSilence {
-			continue
-		}
-		e.missed++
-		e.lastHeard = now
-		k.stats.AgedMisses++
-		k.completeWindow(e)
 	}
 }
 

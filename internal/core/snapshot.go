@@ -170,56 +170,26 @@ func checkSnapshot(snap *EstimatorSnapshot, kind EstimatorKind) (*sim.Rand, *Tab
 	return sim.RestoreCountedRand(snap.RNGSeed, snap.RNGDraws), t, nil
 }
 
-// Snapshot implements LinkEstimator for the four-bit hybrid.
+// Snapshot implements LinkEstimator for the beacon-counting kinds.
 func (est *Estimator) Snapshot() (*EstimatorSnapshot, error) {
-	return snapshotCommon(KindFourBit, est.self, est.cfg, est.rng,
+	return snapshotCommon(est.kind, est.self, est.cfg, est.rng,
 		est.beaconSeq, est.footerIdx, est.Stats, est.table)
 }
 
-// Restore implements LinkEstimator for the four-bit hybrid. The installed
+// Restore implements LinkEstimator for the beacon-counting kinds; what the
+// kind decides is derived afresh from the restored config. The installed
 // comparer and probe bus survive — they are receiver-side wiring, not
 // estimator state.
 func (est *Estimator) Restore(snap *EstimatorSnapshot) error {
-	rng, t, err := checkSnapshot(snap, KindFourBit)
+	rng, t, err := checkSnapshot(snap, est.kind)
 	if err != nil {
 		return err
 	}
 	est.table, est.self, est.cfg, est.rng = t, snap.Self, snap.Config, rng
-	est.tableView.self = snap.Self
 	est.beaconSeq, est.footerIdx, est.Stats = snap.BeaconSeq, snap.FooterIdx, snap.Stats
+	est.derive()
 	return nil
 }
-
-// snapshot assembles a beacon-kind snapshot under the concrete kind name.
-func (k *beaconKind) snapshot(kind EstimatorKind) (*EstimatorSnapshot, error) {
-	return snapshotCommon(kind, k.self, k.cfg, k.rng,
-		k.beaconSeq, k.footerIdx, k.stats, k.table)
-}
-
-// restore rebuilds the shared beacon-kind state from the snapshot.
-func (k *beaconKind) restore(kind EstimatorKind, snap *EstimatorSnapshot) error {
-	rng, t, err := checkSnapshot(snap, kind)
-	if err != nil {
-		return err
-	}
-	k.table, k.self, k.cfg, k.rng = t, snap.Self, snap.Config, rng
-	k.tableView.self = snap.Self
-	k.window = snap.Config.maWindow()
-	k.beaconSeq, k.footerIdx, k.stats = snap.BeaconSeq, snap.FooterIdx, snap.Stats
-	return nil
-}
-
-// Snapshot implements LinkEstimator for the WMEWMA kind.
-func (est *WMEWMA) Snapshot() (*EstimatorSnapshot, error) { return est.snapshot(KindWMEWMA) }
-
-// Restore implements LinkEstimator for the WMEWMA kind.
-func (est *WMEWMA) Restore(snap *EstimatorSnapshot) error { return est.restore(KindWMEWMA, snap) }
-
-// Snapshot implements LinkEstimator for the PDR kind.
-func (est *PDREstimator) Snapshot() (*EstimatorSnapshot, error) { return est.snapshot(KindPDR) }
-
-// Restore implements LinkEstimator for the PDR kind.
-func (est *PDREstimator) Restore(snap *EstimatorSnapshot) error { return est.restore(KindPDR, snap) }
 
 // Snapshot implements LinkEstimator for the LQI kind (no footer cursor —
 // its beacons advertise nothing).
@@ -235,7 +205,6 @@ func (est *LQIEstimator) Restore(snap *EstimatorSnapshot) error {
 		return err
 	}
 	est.table, est.self, est.cfg, est.rng = t, snap.Self, snap.Config, rng
-	est.tableView.self = snap.Self
 	est.beaconSeq, est.stats = snap.BeaconSeq, snap.Stats
 	return nil
 }
