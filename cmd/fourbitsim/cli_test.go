@@ -94,6 +94,14 @@ func TestCLIErrorContract(t *testing.T) {
 			wantErr: []string{"Estimator does not apply to MultiHopLQI"},
 		},
 		{
+			name: "replicate negative seeds", args: []string{"replicate", "-seeds", "-1"}, wantCode: 2,
+			wantErr: []string{"-seeds must be at least 1, got -1"},
+		},
+		{
+			name: "replicate zero seeds", args: []string{"replicate", "-seeds", "0"}, wantCode: 2,
+			wantErr: []string{"-seeds must be at least 1, got 0"},
+		},
+		{
 			name: "scenario list succeeds", args: []string{"scenario", "-list"}, wantCode: 0,
 			wantOut: []string{"built-in scenario presets:"},
 		},

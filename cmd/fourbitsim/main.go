@@ -257,6 +257,9 @@ func runReplicate(args []string) {
 	power := c.fs.Float64("power", 0, "transmit power (dBm)")
 	nSeeds := c.fs.Int("seeds", 5, "number of independent seeds")
 	defer c.parse(args)()
+	if *nSeeds < 1 {
+		fatal(fmt.Errorf("-seeds must be at least 1, got %d", *nSeeds))
+	}
 	spec := scenario.Spec{
 		Name:        "replicate",
 		Protocol:    *proto,

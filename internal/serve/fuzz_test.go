@@ -114,8 +114,9 @@ func FuzzRestoreSnapshot(f *testing.F) {
 
 // FuzzCreateInstance feeds arbitrary bodies to POST /v1/instances — the
 // JSON decode, the name and kind checks, and the estimator build from the
-// body's config — on a fresh server. An accepted body must yield an
-// instance that takes one beacon and answers /table; a refused one must
+// body's config — on a fresh server. An accepted body must be exactly one
+// JSON value and yield an instance that takes one beacon and answers
+// /table; a refused one must
 // get a 4xx status with a JSON error body. Neither may panic. Were the
 // oversized-table seed accepted, its first beacon would end the process.
 func FuzzCreateInstance(f *testing.F) {
@@ -126,6 +127,8 @@ func FuzzCreateInstance(f *testing.F) {
 	f.Add([]byte(`{"name":"fz","kind":"4bit","self":0,"seed":7}`))
 	f.Add([]byte(fmt.Sprintf(`{"name":"fz","kind":"wmewma","self":3,"seed":9,"config":%s}`, full)))
 	f.Add([]byte(oversizedTableBody(f, "fz")))
+	f.Add([]byte(`{"name":"fz","kind":"pdr","confg":{"TableSize":3}}`))
+	f.Add([]byte(`{"name":"fz","kind":"4bit"} {"name":"fy"}`))
 
 	beacon := []byte(beaconLine(1_000_000, 5, 1, 120) + "\n")
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -138,6 +141,9 @@ func FuzzCreateInstance(f *testing.F) {
 				t.Fatalf("refused create answered status %d with body %q, want a 4xx JSON error", code, out)
 			}
 			return
+		}
+		if !json.Valid(body) {
+			t.Fatalf("created an instance from a body that is not one JSON value: %q", body)
 		}
 		var created struct {
 			Name string `json:"name"`

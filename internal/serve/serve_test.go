@@ -474,6 +474,10 @@ func TestServerErrorsAndLimits(t *testing.T) {
 		{"create bad name", "POST", "/v1/instances", `{"name":"a/b","kind":"4bit"}`, http.StatusBadRequest},
 		{"create bad kind", "POST", "/v1/instances", `{"name":"x","kind":"psychic"}`, http.StatusBadRequest},
 		{"create table past address space", "POST", "/v1/instances", oversizedTableBody(t, "x"), http.StatusBadRequest},
+		{"create misspelled key", "POST", "/v1/instances", `{"name":"a","kind":"pdr","confg":{"TableSize":3}}`, http.StatusBadRequest},
+		{"create unknown config field", "POST", "/v1/instances", unknownConfigFieldBody(t, "b"), http.StatusBadRequest},
+		{"create trailing value", "POST", "/v1/instances", `{"name":"c","kind":"4bit"}{"name":"d"}`, http.StatusBadRequest},
+		{"create trailing garbage", "POST", "/v1/instances", `{"name":"e","kind":"4bit"} x`, http.StatusBadRequest},
 		{"missing instance table", "GET", "/v1/instances/ghost/table", "", http.StatusNotFound},
 		{"missing instance delete", "DELETE", "/v1/instances/ghost", "", http.StatusNotFound},
 		{"bad addr query", "GET", "/v1/instances/ghost/quality?addr=zebra", "", http.StatusNotFound},
@@ -554,6 +558,18 @@ func TestParseOverflowPolicy(t *testing.T) {
 // two-billion-entry table. The table allocates its full capacity on the
 // first insert, so accepting it would let one request end the process on
 // its first beacon.
+// unknownConfigFieldBody is a create body whose otherwise complete,
+// valid config carries one field core.Config does not have.
+func unknownConfigFieldBody(t testing.TB, name string) string {
+	t.Helper()
+	blob, err := json.Marshal(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := strings.Replace(string(blob), "{", `{"Lottery":0.5,`, 1)
+	return fmt.Sprintf(`{"name":%q,"kind":"4bit","self":0,"seed":7,"config":%s}`, name, cfg)
+}
+
 func oversizedTableBody(t testing.TB, name string) string {
 	t.Helper()
 	cfg := core.DefaultConfig()

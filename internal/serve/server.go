@@ -417,7 +417,9 @@ func (s *Server) handleServerStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // createRequest is the instance-creation body. Config, when present, must
-// be a complete core.Config; omitted, the paper's defaults apply.
+// be a complete core.Config; omitted, the paper's defaults apply. The body
+// is decoded strictly (decodeStrict), so a misspelled key is an error
+// rather than a silently default-config instance.
 type createRequest struct {
 	Name   string             `json:"name"`
 	Kind   core.EstimatorKind `json:"kind"`
@@ -426,9 +428,25 @@ type createRequest struct {
 	Config *core.Config       `json:"config"`
 }
 
+// decodeStrict decodes exactly one JSON value from r into v, refusing
+// unknown fields and anything but whitespace after the value — the rule
+// scenario specs are parsed by.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	end := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("trailing data after the JSON value at offset %d", end)
+	}
+	return nil
+}
+
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req createRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeStrict(r.Body, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad create body: %v", err)
 		return
 	}
