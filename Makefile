@@ -37,7 +37,8 @@ lint: vet docs
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
 
 # golden regenerates the pinned goldens from the current model: the
-# run-fingerprint goldens and the timeline-figure stdout. Only for
+# run-fingerprint goldens, the timeline-figure stdout and the estimator
+# snapshot bytes. Only for
 # deliberate, documented model changes — the goldens certify that
 # performance kernels and refactors (like the estimator framework
 # extraction and the probe bus) leave simulation trajectories
@@ -46,6 +47,7 @@ lint: vet docs
 golden:
 	$(GO) test ./internal/experiment -run TestGoldenRunFingerprints -update-goldens
 	$(GO) test ./internal/scenario -run TestGoldenTimelineFigure -update-goldens
+	$(GO) test ./internal/core -run TestSnapshotGoldens -update-snapshots
 
 # fuzz-smoke runs each native fuzz target briefly against the saved seed
 # corpus plus a few seconds of new inputs — a tripwire for decoder and

@@ -157,9 +157,9 @@ func NewKind(kind EstimatorKind, self packet.Addr, cfg Config, cmp Comparer, rng
 		return nil, err
 	}
 	switch kind {
-	case "":
+	case "", KindFourBit:
 		return New(self, cfg, cmp, rng), nil
-	case KindFourBit, KindWMEWMA, KindPDR:
+	case KindWMEWMA, KindPDR:
 		return newEstimator(kind, self, cfg, cmp, rng), nil
 	case KindLQI:
 		return NewLQIEstimator(self, cfg, rng), nil
