@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet tier1 bench bench-smoke bench-guard bench-shards docs lint golden fuzz-smoke serve-soak clean
+.PHONY: all build test vet tier1 bench-smoke bench-guard docs lint golden fuzz-smoke serve-soak clean
 
 all: build
 
@@ -72,20 +72,12 @@ serve-soak:
 	$(GO) test -race -count=1 -run TestServeSoak ./internal/serve/chaostest \
 		-soak -soak-duration 60s -timeout 10m -v
 
-# bench runs vet + tier-1 + a one-iteration bench smoke and snapshots the
-# results (with metadata) into BENCH_<date>.json for cross-PR perf diffs.
-bench:
-	./scripts/bench.sh
-
-# bench-smoke: just the one-iteration bench pass, no snapshot.
+# bench-smoke is CI's per-PR bench pass: every benchmark once in short
+# mode (skipInShort drops the multi-second cases), so a bench that no
+# longer builds or runs fails here. Timings from one iteration are warmup,
+# not a perf record — perfbench/ (BENCHMARK.json) is that.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...
-
-# bench-shards runs the shard-axis CityScale benches and snapshots them
-# into BENCH_SHARDS_<date>_p<GOMAXPROCS>.json with a speedup table —
-# ROADMAP item 1's multi-core measurement as one command on a real box.
-bench-shards:
-	./scripts/bench_shards.sh
+	$(GO) test -short -run '^$$' -bench . -benchtime 1x -benchmem ./...
 
 # bench-guard enforces the committed allocation budgets
 # (scripts/alloc_budget.txt): CI fails when a budgeted benchmark's
@@ -94,6 +86,5 @@ bench-shards:
 bench-guard:
 	./scripts/bench_guard.sh
 
-# BENCH_*.json snapshots are committed perf history — clean leaves them.
 clean:
 	$(GO) clean ./...

@@ -1,245 +1,33 @@
 package fourbit
 
-// One benchmark per paper figure (scaled-down durations so `go test
-// -bench=.` finishes in minutes; the fourbitsim CLI runs paper-scale), plus
-// the ablation benches DESIGN.md §5 calls out and micro-benchmarks of the
-// hot paths. Each figure bench reports the figure's headline metrics as
-// custom benchmark outputs (cost, delivery, depth) so regressions in the
-// reproduced *shapes* — not just runtime — are visible in bench diffs.
+// Steady-state layer benchmarks: one simulated minute of collection under
+// each router, the medium's city-scale transmission cost (serial and
+// region-sharded), and the estimator's hot-path micro-benches. The paper's
+// cost orderings are asserted by tests (internal/scenario), and the
+// end-to-end perf record is perfbench (BENCHMARK.json); these benches carry
+// the allocation budgets `make bench-guard` enforces.
 
 import (
 	"fmt"
 	"runtime"
 	"testing"
 
-	"fourbit/internal/collect"
 	"fourbit/internal/core"
 	"fourbit/internal/experiment"
 	"fourbit/internal/node"
 	"fourbit/internal/packet"
 	"fourbit/internal/phy"
-	"fourbit/internal/scenario"
 	"fourbit/internal/sim"
 	"fourbit/internal/topo"
 )
 
-// benchRunMinutes is every figure and ablation bench's simulated run
-// length; the figure benches take it in the scenario runners' minutes.
-const (
-	benchRunMinutes = 6
-	benchMinutes    = benchRunMinutes * sim.Minute
-)
-
-// skipInShort gates the multi-second figure and ablation benches out of
-// short mode, leaving a fast smoke — BenchmarkSimulatedMinuteCTP/LQI plus
-// the micro-benches — that CI runs on every PR (`go test -short -bench .`)
-// so hot-path regressions surface without a multi-minute job.
+// skipInShort gates the multi-second benches out of short mode, leaving a
+// fast smoke — BenchmarkSimulatedMinuteCTP/LQI, the budgeted CityScale
+// case plus the micro-benches — that CI runs on every PR (`make
+// bench-smoke`) so hot-path regressions surface without a multi-minute job.
 func skipInShort(b *testing.B) {
 	if testing.Short() {
-		b.Skip("multi-second figure bench; skipped in -short (CI smoke)")
-	}
-}
-
-func reportRun(b *testing.B, res *experiment.Result, prefix string) {
-	b.ReportMetric(res.Cost, prefix+"cost")
-	b.ReportMetric(res.MeanDepth, prefix+"depth")
-	b.ReportMetric(res.DeliveryRatio*100, prefix+"delivery%")
-}
-
-// BenchmarkFig2RoutingTrees regenerates Figure 2: CTP with a 10-entry
-// table vs MultiHopLQI vs CTP with an unrestricted table on Mirage.
-func BenchmarkFig2RoutingTrees(b *testing.B) {
-	skipInShort(b)
-	for i := 0; i < b.N; i++ {
-		r := scenario.RunFig2(1, benchRunMinutes, experiment.DefaultWorkers())
-		reportRun(b, r.Runs[0], "ctp_")
-		reportRun(b, r.Runs[1], "lqi_")
-		reportRun(b, r.Runs[2], "unlimited_")
-	}
-}
-
-// BenchmarkFig3LQIBlindspot regenerates Figure 3 (compressed): a
-// MultiHopLQI run on TutorNet where an in-use link turns bursty; the PRR
-// collapses while received-packet LQI stays saturated.
-func BenchmarkFig3LQIBlindspot(b *testing.B) {
-	skipInShort(b)
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.DefaultFig3Config(1)
-		cfg.Duration = 90 * sim.Minute
-		cfg.DegradeFrom = 30 * sim.Minute
-		cfg.DegradeUntil = 60 * sim.Minute
-		cfg.Window = 5 * sim.Minute
-		res := experiment.RunFig3(cfg)
-		b.ReportMetric(res.PRRBefore, "prr_before")
-		b.ReportMetric(res.PRRDuring, "prr_during")
-		b.ReportMetric(res.LQIDuring, "lqi_during")
-		b.ReportMetric(res.UnackedRateDuring, "unacked_per_h")
-	}
-}
-
-// BenchmarkFig6DesignSpace regenerates Figure 6: the five estimator
-// variants (CTP, +unidir, +white, 4B, MultiHopLQI) on Mirage, on the
-// default worker pool (one worker per CPU).
-func BenchmarkFig6DesignSpace(b *testing.B) {
-	skipInShort(b)
-	for i := 0; i < b.N; i++ {
-		r := scenario.RunFig6(1, benchRunMinutes, experiment.DefaultWorkers())
-		for _, res := range r.Runs {
-			reportRun(b, res, res.Protocol.String()+"_")
-		}
-	}
-}
-
-// BenchmarkFig6DesignSpaceSerial is the same batch forced through one
-// worker — the scheduler-scaling baseline. The ratio of this bench to
-// BenchmarkFig6DesignSpace is the wall-clock speedup the pool delivers on
-// this machine (the results themselves are identical; see
-// TestRunAllMatchesSerial).
-func BenchmarkFig6DesignSpaceSerial(b *testing.B) {
-	skipInShort(b)
-	for i := 0; i < b.N; i++ {
-		scenario.RunFig6(1, benchRunMinutes, 1)
-	}
-}
-
-// BenchmarkFig7PowerSweep regenerates Figure 7: 4B vs MultiHopLQI at 0,
-// -10 and -20 dBm on Mirage.
-func BenchmarkFig7PowerSweep(b *testing.B) {
-	skipInShort(b)
-	for i := 0; i < b.N; i++ {
-		r := scenario.RunPowerSweep(1, benchRunMinutes, experiment.DefaultWorkers())
-		for j, pw := range r.Powers {
-			b.ReportMetric(r.FB[j].Cost, "4B_cost_"+powerLabel(pw))
-			b.ReportMetric(r.LQI[j].Cost, "LQI_cost_"+powerLabel(pw))
-		}
-	}
-}
-
-// BenchmarkFig8DeliveryDistribution regenerates Figure 8: the per-node
-// delivery distributions behind the power sweep.
-func BenchmarkFig8DeliveryDistribution(b *testing.B) {
-	skipInShort(b)
-	for i := 0; i < b.N; i++ {
-		r := scenario.RunPowerSweep(1, benchRunMinutes, experiment.DefaultWorkers())
-		last := len(r.Powers) - 1
-		b.ReportMetric(minOf(r.FB[last].PerNodeDelivery)*100, "4B_worstnode%_-20dBm")
-		b.ReportMetric(minOf(r.LQI[last].PerNodeDelivery)*100, "LQI_worstnode%_-20dBm")
-	}
-}
-
-// BenchmarkEstimatorComparison regenerates the estimator head-to-head:
-// one CTP router with the 4bit, wmewma, pdr and lqi estimators swapped in
-// on the default grid. The reported per-estimator costs make the paper's
-// qualitative ordering (4bit lowest) visible in bench diffs.
-func BenchmarkEstimatorComparison(b *testing.B) {
-	skipInShort(b)
-	for i := 0; i < b.N; i++ {
-		r := scenario.RunEstCompare(1, benchRunMinutes, experiment.DefaultWorkers())
-		for _, res := range r.Runs {
-			reportRun(b, res, string(res.Estimator)+"_")
-		}
-	}
-}
-
-// BenchmarkHeadline regenerates the abstract's comparison on both testbeds.
-func BenchmarkHeadline(b *testing.B) {
-	skipInShort(b)
-	for i := 0; i < b.N; i++ {
-		r := scenario.RunHeadline(1, benchRunMinutes, experiment.DefaultWorkers())
-		for j, name := range r.Testbeds {
-			if r.LQI[j].Cost > 0 {
-				gain := 100 * (r.LQI[j].Cost - r.FB[j].Cost) / r.LQI[j].Cost
-				b.ReportMetric(gain, name+"_cost_gain%")
-			}
-		}
-	}
-}
-
-func powerLabel(p float64) string {
-	switch p {
-	case 0:
-		return "0dBm"
-	case -10:
-		return "-10dBm"
-	case -20:
-		return "-20dBm"
-	}
-	return "?"
-}
-
-func minOf(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// --- Ablations (DESIGN.md §5) ---------------------------------------------
-
-// BenchmarkAblationStreams compares the full hybrid estimator against
-// beacon-only estimation (no ack bit): the agility the unicast stream buys.
-func BenchmarkAblationStreams(b *testing.B) {
-	skipInShort(b)
-	for i := 0; i < b.N; i++ {
-		tp := topo.Mirage(1)
-		full := experiment.DefaultRunConfig(experiment.Proto4B, tp, 1)
-		full.Duration = benchMinutes
-		noAck := experiment.DefaultRunConfig(experiment.ProtoCTPWhite, tp, 1)
-		noAck.Duration = benchMinutes
-		rFull, rNoAck := experiment.Run(full), experiment.Run(noAck)
-		b.ReportMetric(rFull.Cost, "hybrid_cost")
-		b.ReportMetric(rNoAck.Cost, "beacononly_cost")
-		b.ReportMetric(rFull.DeliveryRatio*100, "hybrid_delivery%")
-		b.ReportMetric(rNoAck.DeliveryRatio*100, "beacononly_delivery%")
-	}
-}
-
-// BenchmarkAblationTablePolicy compares white/compare-gated replacement
-// against the plain never-replace policy (ProtoCTPUnidir) at a small table,
-// where admission policy decides which links exist at all.
-func BenchmarkAblationTablePolicy(b *testing.B) {
-	skipInShort(b)
-	for i := 0; i < b.N; i++ {
-		tp := topo.Mirage(1)
-		with := experiment.DefaultRunConfig(experiment.Proto4B, tp, 1)
-		with.Duration = benchMinutes
-		without := experiment.DefaultRunConfig(experiment.ProtoCTPUnidir, tp, 1)
-		without.Duration = benchMinutes
-		rWith, rWithout := experiment.Run(with), experiment.Run(without)
-		b.ReportMetric(rWith.Cost, "whitecompare_cost")
-		b.ReportMetric(rWithout.Cost, "roomonly_cost")
-	}
-}
-
-// BenchmarkAblationWindows sweeps the unicast window ku — the tradeoff
-// between sample quality and agility that §3.3 fixes at ku=5.
-func BenchmarkAblationWindows(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, ku := range []int{2, 5, 10} {
-			est := core.New(1, func() core.Config {
-				c := core.DefaultConfig()
-				c.UnicastWindow = ku
-				return c
-			}(), nil, sim.NewRand(uint64(ku)))
-			est.OnBeacon(7, &packet.LEFrame{Seq: 1}, core.RxMeta{White: true}, 0)
-			est.OnBeacon(7, &packet.LEFrame{Seq: 2}, core.RxMeta{White: true}, 0)
-			// Dead link from t=0: how many transmissions until ETX > 5?
-			tx := 0
-			for {
-				est.TxResult(7, false)
-				tx++
-				if etx, _ := est.Quality(7); etx > 5 || tx > 500 {
-					break
-				}
-			}
-			b.ReportMetric(float64(tx), fmt.Sprintf("tx_to_detect_ku%d", ku))
-		}
+		b.Skip("multi-second bench; skipped in -short (CI smoke)")
 	}
 }
 
@@ -272,16 +60,16 @@ func BenchmarkEstimatorTxResult(b *testing.B) {
 // at constant density, so node count buys length, the audible degree stays
 // flat, and the reported ns per simulated second must grow near-linearly
 // in n for the spatial index to be doing its job (each transmission visits
-// only the ~constant audible set, not all n−1 receivers). The offered load is scripted at a fixed per-node rate and driven
-// straight through the medium: end-to-end collection adds a ~√n multihop
-// forwarding factor (every packet costs ~tree-depth transmissions) that is
-// routing physics, not channel representation — BenchmarkCityCollection2k
-// records that cost separately. Channel/medium construction sits outside
+// only the ~constant audible set, not all n−1 receivers). The offered load
+// is scripted at a fixed per-node rate and driven straight through the
+// medium: end-to-end collection adds a ~√n multihop forwarding factor
+// (every packet costs ~tree-depth transmissions) that is routing physics,
+// not channel representation. Channel/medium construction sits outside
 // the timer (it is a per-run one-time cost, dominated by the O(n²)
 // shadowing draws the exactness contract requires), so allocs/op pins the
 // steady-state path: deliveries must not allocate. The n=2000 case runs in
 // -short and carries the allocs/op budget (scripts/alloc_budget.txt); the
-// 1k/10k endpoints anchor the scaling ratio recorded in BENCH snapshots.
+// 1k/10k endpoints give the scaling ratio when run with a real -benchtime.
 func BenchmarkCityScale(b *testing.B) {
 	for _, n := range []int{1000, 2000, 10000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -419,35 +207,6 @@ func BenchmarkCityScale(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(simSeconds*float64(b.N)), "ns/simsec")
 			})
 		}
-	}
-}
-
-// BenchmarkCityCollection2k is the end-to-end companion: the full 4B
-// collection stack on a 2000-node city block for a short run — tree
-// formation, multihop forwarding, estimation, everything. No near-linear
-// claim attaches to it: at constant density a single-sink tree deepens
-// like √n (the 10k block converges ~22 hops deep), so forwarding work per
-// delivered packet necessarily grows with scale. It exists so BENCH
-// snapshots track what a city-scale protocol run actually costs.
-func BenchmarkCityCollection2k(b *testing.B) {
-	skipInShort(b)
-	const n = 2000
-	tp := topo.MultiFloor(n, 8, 268, 134, 9) // 144 m²/node/storey
-	rc := experiment.DefaultRunConfig(experiment.Proto4B, tp, 9)
-	rc.Duration = 15 * sim.Second
-	rc.Warmup = 5 * sim.Second
-	rc.SampleEvery = 5 * sim.Second
-	wl := collect.DefaultWorkload()
-	wl.BootWindow = 5 * sim.Second
-	rc.Workload = wl
-	envCfg := node.DefaultEnvConfig(rc.Seed, rc.TxPowerDBm)
-	envCfg.Phy.PathLossExponent = 4.0
-	rc.Env = &envCfg
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := experiment.Run(rc)
-		b.ReportMetric(float64(res.Events)/15, "events/simsec")
-		b.ReportMetric(res.DeliveryRatio*100, "delivery%")
 	}
 }
 

@@ -1,11 +1,18 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"fourbit/internal/serve"
 )
 
 // binPath is the fourbitsim binary built once by TestMain: the CLI contract
@@ -102,6 +109,14 @@ func TestCLIErrorContract(t *testing.T) {
 			wantErr: []string{"-seeds must be at least 1, got 0"},
 		},
 		{
+			name: "fig3 negative hours", args: []string{"fig3", "-hours", "-1"}, wantCode: 2,
+			wantErr: []string{"-hours must be positive, got -1"},
+		},
+		{
+			name: "fig3 until before from", args: []string{"fig3", "-hours", "0.05", "-from", "0.04", "-until", "0.02"}, wantCode: 2,
+			wantErr: []string{"-until must be after -from"},
+		},
+		{
 			name: "scenario list succeeds", args: []string{"scenario", "-list"}, wantCode: 0,
 			wantOut: []string{"built-in scenario presets:"},
 		},
@@ -137,5 +152,51 @@ func TestCLIErrorContract(t *testing.T) {
 				t.Errorf("CLI panicked:\n%s", stderr.String())
 			}
 		})
+	}
+}
+
+// TestSnapshotDirRestoresStrictly round-trips an instance through the
+// -snapshot-dir files and checks that a file whose "entries" key is
+// misspelled is refused rather than restored as an empty table.
+func TestSnapshotDirRestoresStrictly(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	newServer := func() *serve.Server {
+		s := serve.NewServer(serve.Options{})
+		t.Cleanup(func() { s.Drain(ctx) })
+		return s
+	}
+	post := func(s *serve.Server, path, body string) {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code/100 != 2 {
+			t.Fatalf("POST %s: status %d: %s", path, rec.Code, rec.Body)
+		}
+	}
+	src := newServer()
+	post(src, "/v1/instances", `{"name":"n","kind":"4bit"}`)
+	post(src, "/v1/instances/n/events", `{"ev":"beacon","at":1,"src":2,"seq":1,"lqi":80,"white":true}`)
+	dir := t.TempDir()
+	if n, err := writeSnapshotDir(src, ctx, dir); err != nil || n != 1 {
+		t.Fatalf("writeSnapshotDir = %d, %v", n, err)
+	}
+	if n, err := restoreSnapshotDir(newServer(), dir); err != nil || n != 1 {
+		t.Fatalf("restoreSnapshotDir = %d, %v", n, err)
+	}
+
+	path := filepath.Join(dir, "n.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Replace(data, []byte(`"entries":[{`), []byte(`"entrys":[{`), 1)
+	if bytes.Equal(bad, data) {
+		t.Fatalf("snapshot carries no entries: %s", data)
+	}
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restoreSnapshotDir(newServer(), dir); err == nil || !strings.Contains(err.Error(), "entrys") {
+		t.Fatalf("restoring a misspelled key: err = %v, want an unknown-field error", err)
 	}
 }

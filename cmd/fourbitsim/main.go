@@ -223,6 +223,12 @@ func runFig3(args []string) {
 	from := c.fs.Float64("from", 4, "degradation start (hours)")
 	until := c.fs.Float64("until", 6, "degradation end (hours)")
 	defer c.parse(args)()
+	if *hours <= 0 {
+		fatal(fmt.Errorf("-hours must be positive, got %g", *hours))
+	}
+	if *until <= *from {
+		fatal(fmt.Errorf("-until must be after -from, got -from %g -until %g", *from, *until))
+	}
 	cfg := experiment.DefaultFig3Config(*c.seed)
 	cfg.Duration = sim.FromSeconds(*hours * 3600)
 	cfg.DegradeFrom = sim.FromSeconds(*from * 3600)

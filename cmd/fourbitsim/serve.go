@@ -105,15 +105,16 @@ func restoreSnapshotDir(srv *serve.Server, dir string) (int, error) {
 	}
 	n := 0
 	for _, path := range paths {
-		data, err := os.ReadFile(path)
+		f, err := os.Open(path)
 		if err != nil {
 			return n, err
 		}
-		var snap serve.InstanceSnapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
+		snap, err := serve.DecodeSnapshot(f)
+		f.Close()
+		if err != nil {
 			return n, fmt.Errorf("%s: %w", path, err)
 		}
-		if err := srv.RestoreSnapshot(&snap); err != nil {
+		if err := srv.RestoreSnapshot(snap); err != nil {
 			return n, fmt.Errorf("%s: %w", path, err)
 		}
 		n++

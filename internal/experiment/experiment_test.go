@@ -123,6 +123,21 @@ func TestEstConfigVariants(t *testing.T) {
 	estConfig(ProtoMultiHopLQI)
 }
 
+// TestFig3EarlyDegradation starts the degradation inside the first ten
+// minutes, so the parent-stability snapshot (ten minutes before selection)
+// and the selection itself would fall before time 0 unclamped.
+func TestFig3EarlyDegradation(t *testing.T) {
+	cfg := DefaultFig3Config(1)
+	cfg.Duration = 5 * sim.Minute
+	cfg.DegradeFrom = 3 * sim.Minute
+	cfg.DegradeUntil = 4 * sim.Minute
+	cfg.Window = sim.Minute
+	res := RunFig3(cfg)
+	if res.P < 0 || res.C < 0 {
+		t.Fatal("no link selected")
+	}
+}
+
 // TestFig3RejectsDegenerateBadFraction pins the config-time validation:
 // BadFraction at or beyond the (0,1) endpoints must fail immediately with
 // the knob named, not mid-run inside the Gilbert–Elliott constructor.

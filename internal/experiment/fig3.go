@@ -27,7 +27,8 @@ type Fig3Config struct {
 	DegradeFrom  sim.Time // paper: degradation observed hours 4-6
 	DegradeUntil sim.Time
 	// SelectAt is when the in-use link (P -> its parent C) is chosen; it
-	// defaults to one beacon period before DegradeFrom.
+	// defaults to one beacon period before DegradeFrom, but not before
+	// time 0.
 	SelectAt sim.Time
 	Window   sim.Time // series sampling window
 	// BadFraction is the Bad-state duty cycle (PRR drops to
@@ -76,7 +77,7 @@ func RunFig3(cfg Fig3Config) *Fig3Result {
 		panic(fmt.Sprintf("experiment: Fig3Config.BadFraction must be in (0,1), got %g", cfg.BadFraction))
 	}
 	if cfg.SelectAt == 0 {
-		cfg.SelectAt = cfg.DegradeFrom - 30*sim.Second
+		cfg.SelectAt = max(cfg.DegradeFrom-30*sim.Second, 0)
 	}
 	tp := topo.TutorNet(cfg.Seed)
 	env := node.NewEnv(tp, node.DefaultEnvConfig(cfg.Seed, 0))
@@ -99,9 +100,10 @@ func RunFig3(cfg Fig3Config) *Fig3Result {
 		unacked = append(unacked, unackSample{env.Clock.Now(), counts})
 	})
 
-	// Parent stability snapshot ahead of selection.
+	// Parent stability snapshot ahead of selection (at time 0 when the
+	// degradation starts within the first ten minutes).
 	early := make([]packet.Addr, nodes)
-	env.Clock.At(cfg.SelectAt-10*sim.Minute, func() {
+	env.Clock.At(max(cfg.SelectAt-10*sim.Minute, 0), func() {
 		for i, nd := range net.Routers {
 			early[i] = nd.Parent()
 		}

@@ -76,6 +76,15 @@ func TestFig6Orderings(t *testing.T) {
 	if !(white.Cost < ctp.Cost*1.15) {
 		t.Errorf("CTP+white cost %.2f should not exceed CTP %.2f by >15%%", white.Cost, ctp.Cost)
 	}
+	// Each of 4B's bits pays on its own: without the ack bit (CTP+white,
+	// beacon-only estimation) and without white/compare admission
+	// (CTP+unidir, never-replace tables) cost rises.
+	if !(fb.Cost < white.Cost) {
+		t.Errorf("4B cost %.2f should be below CTP+white %.2f (the ack bit)", fb.Cost, white.Cost)
+	}
+	if !(fb.Cost < unidir.Cost) {
+		t.Errorf("4B cost %.2f should be below CTP+unidir %.2f (white/compare admission)", fb.Cost, unidir.Cost)
+	}
 	// 4B beats the MultiHopLQI baseline.
 	if !(fb.Cost < lqi.Cost) {
 		t.Errorf("4B cost %.2f should be below MultiHopLQI %.2f", fb.Cost, lqi.Cost)

@@ -79,6 +79,9 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(blob)
+	// A misspelled key: strict decoding refuses it rather than restoring
+	// an empty table.
+	f.Add(bytes.Replace(seeds[0], []byte(`"entries"`), []byte(`"entrys"`), 1))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"version":1,"kind":"4bit","estimator":null}`))
 	f.Add([]byte(`not json`))

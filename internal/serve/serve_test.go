@@ -478,6 +478,8 @@ func TestServerErrorsAndLimits(t *testing.T) {
 		{"create unknown config field", "POST", "/v1/instances", unknownConfigFieldBody(t, "b"), http.StatusBadRequest},
 		{"create trailing value", "POST", "/v1/instances", `{"name":"c","kind":"4bit"}{"name":"d"}`, http.StatusBadRequest},
 		{"create trailing garbage", "POST", "/v1/instances", `{"name":"e","kind":"4bit"} x`, http.StatusBadRequest},
+		{"restore misspelled nested key", "POST", "/v1/instances/r/restore", misspelledSnapshotBody(t), http.StatusBadRequest},
+		{"restore trailing value", "POST", "/v1/instances/r/restore", snapshotBody(t) + ` {}`, http.StatusBadRequest},
 		{"missing instance table", "GET", "/v1/instances/ghost/table", "", http.StatusNotFound},
 		{"missing instance delete", "DELETE", "/v1/instances/ghost", "", http.StatusNotFound},
 		{"bad addr query", "GET", "/v1/instances/ghost/quality?addr=zebra", "", http.StatusNotFound},
@@ -568,6 +570,36 @@ func unknownConfigFieldBody(t testing.TB, name string) string {
 	}
 	cfg := strings.Replace(string(blob), "{", `{"Lottery":0.5,`, 1)
 	return fmt.Sprintf(`{"name":%q,"kind":"4bit","self":0,"seed":7,"config":%s}`, name, cfg)
+}
+
+// snapshotBody returns a valid snapshot of a 4bit instance that has heard
+// one beacon, so its estimator snapshot carries a non-empty "entries" list.
+func snapshotBody(t testing.TB) string {
+	t.Helper()
+	s := NewServer(Options{})
+	defer drainServer(t, s)
+	if code, out := serveReq(s, "POST", "/v1/instances", []byte(`{"name":"src","kind":"4bit"}`)); code != http.StatusCreated {
+		t.Fatalf("create: status %d: %s", code, out)
+	}
+	if code, out := serveReq(s, "POST", "/v1/instances/src/events", []byte(beaconLine(1, 2, 1, 80))); code != http.StatusOK {
+		t.Fatalf("ingest: status %d: %s", code, out)
+	}
+	code, snap := serveReq(s, "GET", "/v1/instances/src/snapshot", nil)
+	if code != http.StatusOK {
+		t.Fatalf("snapshot: status %d: %s", code, snap)
+	}
+	return string(snap)
+}
+
+// misspelledSnapshotBody is snapshotBody with the estimator's "entries"
+// key misspelled: decoded loosely it would restore an empty table.
+func misspelledSnapshotBody(t testing.TB) string {
+	t.Helper()
+	snap := snapshotBody(t)
+	if !strings.Contains(snap, `"entries":[{`) {
+		t.Fatalf("snapshot carries no entries: %s", snap)
+	}
+	return strings.Replace(snap, `"entries"`, `"entrys"`, 1)
 }
 
 func oversizedTableBody(t testing.TB, name string) string {

@@ -444,6 +444,17 @@ func decodeStrict(r io.Reader, v any) error {
 	return nil
 }
 
+// DecodeSnapshot reads one instance snapshot as written by the snapshot
+// route or SnapshotAll. It decodes strictly (decodeStrict): a misspelled
+// key or trailing data is an error, not a silently emptied table.
+func DecodeSnapshot(r io.Reader) (*InstanceSnapshot, error) {
+	var snap InstanceSnapshot
+	if err := decodeStrict(r, &snap); err != nil {
+		return nil, err
+	}
+	return &snap, nil
+}
+
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req createRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
@@ -764,13 +775,13 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, in *inst
 }
 
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, name string) {
-	var snap InstanceSnapshot
-	if err := json.NewDecoder(r.Body).Decode(&snap); err != nil {
+	snap, err := DecodeSnapshot(r.Body)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad snapshot body: %v", err)
 		return
 	}
 	snap.Name = name // the URL names the target; the body's name is advisory
-	if err := s.RestoreSnapshot(&snap); err != nil {
+	if err := s.RestoreSnapshot(snap); err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, core.ErrSnapshotVersion) {
 			status = http.StatusConflict
