@@ -117,6 +117,38 @@ func TestCLIErrorContract(t *testing.T) {
 			wantErr: []string{"-until must be after -from"},
 		},
 		{
+			name: "fig3 span shorter than the sample window", args: []string{"fig3", "-hours", "0.1", "-from", "0.05", "-until", "0.08"}, wantCode: 2,
+			wantErr: []string{"degradation span (-until minus -from) is 1.8 min", "at least the 10 min sample window"},
+		},
+		{
+			name: "fig3 prints fractional hours", args: []string{"fig3", "-hours", "0.4", "-from", "0.1", "-until", "0.3"}, wantCode: 0,
+			wantOut: []string{"degraded 0.1h..0.3h"},
+		},
+		{
+			name: "serve zero queue depth", args: []string{"serve", "-queue-depth", "0"}, wantCode: 2,
+			wantErr: []string{"-queue-depth must be positive, got 0"},
+		},
+		{
+			name: "serve negative queue depth", args: []string{"serve", "-queue-depth", "-5"}, wantCode: 2,
+			wantErr: []string{"-queue-depth must be positive, got -5"},
+		},
+		{
+			name: "serve zero max instances", args: []string{"serve", "-max-instances", "0"}, wantCode: 2,
+			wantErr: []string{"-max-instances must be positive, got 0"},
+		},
+		{
+			name: "serve negative request timeout", args: []string{"serve", "-request-timeout", "-1s"}, wantCode: 2,
+			wantErr: []string{"-request-timeout must be positive, got -1s"},
+		},
+		{
+			name: "serve negative drain timeout", args: []string{"serve", "-drain-timeout", "-1s"}, wantCode: 2,
+			wantErr: []string{"-drain-timeout must be positive, got -1s"},
+		},
+		{
+			name: "serve negative idle evict", args: []string{"serve", "-idle-evict", "-1s"}, wantCode: 2,
+			wantErr: []string{"-idle-evict must not be negative (0 = never), got -1s"},
+		},
+		{
 			name: "scenario list succeeds", args: []string{"scenario", "-list"}, wantCode: 0,
 			wantOut: []string{"built-in scenario presets:"},
 		},

@@ -233,6 +233,12 @@ func runFig3(args []string) {
 	cfg.Duration = sim.FromSeconds(*hours * 3600)
 	cfg.DegradeFrom = sim.FromSeconds(*from * 3600)
 	cfg.DegradeUntil = sim.FromSeconds(*until * 3600)
+	if span := cfg.DegradeUntil - cfg.DegradeFrom; span < cfg.Window {
+		// The before/during summaries average the series samples, one per
+		// Window: a shorter span can hold none of them.
+		fatal(fmt.Errorf("the degradation span (-until minus -from) is %.3g min; it must be at least the %.3g min sample window",
+			span.Hours()*60, cfg.Window.Hours()*60))
+	}
 	experiment.RunFig3(cfg).Fprint(os.Stdout)
 }
 

@@ -38,6 +38,24 @@ func runServe(args []string) {
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
+	// Zero would silently mean "the default" to serve.Options, and a
+	// negative drain budget fails the shutdown at once: refuse both.
+	for _, f := range []struct {
+		name string
+		bad  bool
+	}{
+		{"queue-depth", *queueDepth <= 0},
+		{"max-instances", *maxInstances <= 0},
+		{"request-timeout", *reqTimeout <= 0},
+		{"drain-timeout", *drainTimeout <= 0},
+	} {
+		if f.bad {
+			fatal(fmt.Errorf("-%s must be positive, got %v", f.name, fs.Lookup(f.name).Value))
+		}
+	}
+	if *idleEvict < 0 {
+		fatal(fmt.Errorf("-idle-evict must not be negative (0 = never), got %v", *idleEvict))
+	}
 	policy, err := serve.ParseOverflowPolicy(*overflow)
 	if err != nil {
 		fatal(err)

@@ -207,7 +207,7 @@ func rampRate(s *metrics.Series, t0, t1 float64) float64 {
 
 // Fprint renders the three Figure 3 series and the summary rows.
 func (r *Fig3Result) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "Figure 3: MultiHopLQI blind spot — link %d->%d degraded %.0fh..%.0fh\n",
+	fmt.Fprintf(w, "Figure 3: MultiHopLQI blind spot — link %d->%d degraded %.3gh..%.3gh\n",
 		r.P, r.C, r.DegradeFromH, r.DegradeUntilH)
 	fmt.Fprintf(w, "%6s %8s %8s %10s\n", "t(h)", "PRR", "LQI", "unacked")
 	li := 0

@@ -144,13 +144,16 @@ type txOp struct {
 	state    txState
 }
 
-// New builds a MAC bound to a radio. rng drives backoff draws. The MAC
-// emits its transmission outcomes (the tx/ack probe events) into the probe
-// bus installed on clock, if any.
+// New builds a MAC bound to a radio and gives the radio its address, so
+// the medium drops overheard traffic addressed to other nodes before it
+// reaches the MAC (see phy.Radio.SetAddr). rng drives backoff draws. The
+// MAC emits its transmission outcomes (the tx/ack probe events) into the
+// probe bus installed on clock, if any.
 func New(clock *sim.Simulator, radio *phy.Radio, addr packet.Addr, p Params, rng *sim.Rand) *MAC {
 	m := &MAC{clock: clock, radio: radio, addr: addr, p: p, rng: rng, probes: probe.FromSim(clock)}
 	m.timer = clock.NewTimer(m.onTimer)
 	m.ackFireFn = func(a any) { m.fireAck(a.(*ackOp)) }
+	radio.SetAddr(addr)
 	radio.OnReceive(m.onRadioReceive)
 	return m
 }
@@ -261,15 +264,10 @@ func (m *MAC) finish(op *txOp, res TxResult) {
 }
 
 func (m *MAC) onRadioReceive(data []byte, info phy.RxInfo) {
-	// In a dense network most receptions are overheard traffic addressed to
-	// someone else; peek the destination and drop those before paying for
-	// CRC validation and a decode. (The medium delivers frames intact, so
-	// skipping validation here cannot mask corruption.)
-	if dst, ok := packet.FrameDst(data); ok && dst != m.addr && dst != packet.Broadcast {
-		return
-	}
-	// Decode into the MAC-owned scratch frame: receivers get a *Frame that
-	// is valid only for the duration of the upcall (see Receiver).
+	// The radio's address filter has already dropped overheard traffic
+	// addressed to someone else. Decode into the MAC-owned scratch frame:
+	// receivers get a *Frame that is valid only for the duration of the
+	// upcall (see Receiver).
 	f := &m.rxFrame
 	if err := packet.DecodeFrameInto(f, data); err != nil {
 		return

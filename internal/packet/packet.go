@@ -201,8 +201,9 @@ func DecodeFrameInto(f *Frame, data []byte) error {
 
 // FrameDst peeks the destination address of an encoded frame without
 // validating it. ok is false when data is too short to be any frame.
-// Receivers use this to discard overheard traffic addressed elsewhere
-// before paying for CRC validation and a full decode.
+// The medium reads it once per transmission, so that radios with an
+// address filter skip overheard traffic addressed elsewhere before any
+// CRC validation, decode or upcall.
 func FrameDst(data []byte) (dst Addr, ok bool) {
 	if len(data) < FrameHeaderLen+FrameTrailerLen {
 		return 0, false

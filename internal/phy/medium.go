@@ -3,6 +3,7 @@ package phy
 import (
 	"fmt"
 
+	"fourbit/internal/packet"
 	"fourbit/internal/sim"
 )
 
@@ -100,12 +101,15 @@ func (s *MediumStats) add(o *MediumStats) {
 // frame is one packet on the air, pooled with its power buffer. data is
 // the sender's bytes on the serial path and a copy on the sharded path,
 // where the MAC reuses its encode buffer an epoch before the last
-// receiver resolves. powMW holds the power each candidate
+// receiver resolves. dst is the link-layer destination read from data at
+// transmit, or anyRadio for broadcasts and frames too short to carry one
+// (every radio takes those). powMW holds the power each candidate
 // receiver picked up, indexed by the sender's candidate position (0 =
 // undetectable); resolve zeroes every entry it visits, so a frame goes
 // back to its pool with a clean buffer and no receiver pointing at it.
 type frame struct {
 	from    int32
+	dst     int32
 	refs    int32 // sharded path: target shards yet to resolve (atomic)
 	start   sim.Time
 	end     sim.Time
@@ -150,7 +154,7 @@ func NewMedium(clock *sim.Simulator, ch *Channel, rp RadioParams, lqip LQIParams
 	m.radios = make([]*Radio, n)
 	backing := make([]Radio, n)
 	for i := 0; i < n; i++ {
-		backing[i] = Radio{m: m, id: i}
+		backing[i] = Radio{m: m, id: i, addr: anyRadio}
 		m.radios[i] = &backing[i]
 		m.radios[i].SetTxPower(rp.DefaultTxPowerDBm)
 	}
@@ -225,23 +229,21 @@ func getFrame(free *[]*frame, powCap int) *frame {
 	return &frame{powMW: make([]float64, powCap)}
 }
 
-// prrDecideWith resolves a reception draw through the certified PRR table
-// for the frame's length (bit-identical to rng.Bernoulli(PRR(...)); see
-// PRRTable.Decide), falling back to the analytic function for lengths the
-// table does not serve. cache is the caller's per-length table slice — the
-// medium's on the serial path, the shard's on the sharded path, so the
-// lazy growth is single-writer — and keeps the shared-cache lookup off the
-// per-reception path.
-func (m *Medium) prrDecideWith(sinrDB float64, frameBytes int, rng *sim.Rand, cache *[]*PRRTable) bool {
+// prrTable returns the certified PRR table for frameBytes, or nil for
+// lengths no table serves (the analytic function decides those). cache is
+// the caller's per-length table slice — the medium's on the serial path,
+// the shard's on the sharded path, so the lazy growth is single-writer —
+// and keeps the shared cache's sync.Map off the per-frame path.
+func prrTable(frameBytes int, cache *[]*PRRTable) *PRRTable {
 	prrT := *cache
 	if frameBytes > 0 && frameBytes < len(prrT) {
 		if tb := prrT[frameBytes]; tb != nil {
-			return tb.Decide(sinrDB, rng)
+			return tb
 		}
 	}
 	tb := PRRTableFor(frameBytes)
 	if tb == nil {
-		return rng.Bernoulli(PRR(sinrDB, frameBytes))
+		return nil
 	}
 	if frameBytes >= len(prrT) {
 		grown := make([]*PRRTable, frameBytes+1)
@@ -250,6 +252,16 @@ func (m *Medium) prrDecideWith(sinrDB float64, frameBytes int, rng *sim.Rand, ca
 	}
 	prrT[frameBytes] = tb
 	*cache = prrT
+	return tb
+}
+
+// prrDecide takes the reception draw at sinrDB through tb (bit-identical to
+// rng.Bernoulli(PRR(...)); see PRRTable.Decide), or through the analytic
+// function when no table serves the length.
+func prrDecide(sinrDB float64, frameBytes int, tb *PRRTable, rng *sim.Rand) bool {
+	if tb == nil {
+		return rng.Bernoulli(PRR(sinrDB, frameBytes))
+	}
 	return tb.Decide(sinrDB, rng)
 }
 
@@ -289,6 +301,10 @@ func (m *Medium) startTx(r *Radio, data []byte) sim.Time {
 	}
 	f := getFrame(free, m.powCap)
 	f.from, f.start, f.end, f.txPowMW = int32(r.id), now, now+air, r.txPowMW
+	f.dst = anyRadio
+	if dst, ok := packet.FrameDst(data); ok && dst != packet.Broadcast {
+		f.dst = int32(dst)
+	}
 	if st != nil {
 		f.data = append(f.data[:0], data...)
 		st.outbox = append(st.outbox, f)
@@ -358,8 +374,18 @@ func (m *Medium) arrive(f *frame, lo, hi int, stats *MediumStats) {
 // its power leaves each receiver's interference sum, and every receiver
 // still locked on it takes the reception draw from its rxRng stream, with
 // table caching in prrT.
+//
+// A receiver whose address filter drops the frame (overheard unicast and
+// acks: most receptions in a dense network) resolves draws-only: it takes
+// the noise sample, the jitter, the reception draw and the LQI draw
+// exactly as a delivery would, and counts the outcome, but builds no
+// RxInfo and makes no upcall. When a certified lower bound on the SINR in
+// dB already clears the length's certain-delivery threshold — where Decide
+// draws nothing — it skips the logarithm too. Every stream therefore
+// advances exactly as if the frame were delivered and dropped above.
 func (m *Medium) resolve(f *frame, lo, hi int, now sim.Time, stats *MediumStats, prrT *[]*PRRTable) {
 	cands := m.candidates[f.from]
+	tb := prrTable(len(f.data), prrT)
 	for ci := lo; ci < hi; ci++ {
 		pmw := f.powMW[ci]
 		if pmw == 0 {
@@ -387,25 +413,35 @@ func (m *Medium) resolve(f *frame, lo, hi int, now sim.Time, stats *MediumStats,
 		rj.rx = nil
 		noise := m.ch.NoiseMW(j, now)
 		sinrLin := rx.powerMW / (noise + m.rp.InterferenceFactor*rx.maxInterfMW)
-		sinrDB := LinearToDB(sinrLin)
 		rng := m.rxRng[j]
 		// Fast per-packet variation (multipath ISI): one draw decides both
 		// the frame's fate and, if it survives, the quality it reports —
 		// so received packets are biased toward good instants.
-		if jitter := m.ch.PacketJitterSigmaDB(); jitter > 0 {
-			sinrDB += rng.Normal(0, jitter)
+		var jitter float64
+		if sigma := m.ch.PacketJitterSigmaDB(); sigma > 0 {
+			jitter = rng.Normal(0, sigma)
 		}
-		if m.prrDecideWith(sinrDB, len(f.data), rng, prrT) {
+		overheard := f.dst != anyRadio && rj.addr != anyRadio && f.dst != rj.addr
+		var sinrDB float64
+		ok := overheard && tb != nil && float64(dbLowerBound(sinrLin)+jitter) >= tb.certainDB
+		if !ok {
+			sinrDB = LinearToDB(sinrLin) + jitter
+			ok = prrDecide(sinrDB, len(f.data), tb, rng)
+		}
+		switch {
+		case !ok && rx.maxInterfMW > noise*0.1:
+			stats.DroppedCollision++
+		case !ok:
+			stats.DroppedBER++
+		case overheard:
+			stats.Delivered++
+			rng.NormFloat64() // the LQI synthesis draw
+		default:
 			lqi, white := m.lqip.Synthesize(sinrDB, rng)
-			info := RxInfo{At: now, SNRdB: sinrDB, LQI: lqi, White: white}
 			stats.Delivered++
 			if rj.recv != nil {
-				rj.recv(f.data, info)
+				rj.recv(f.data, RxInfo{At: now, SNRdB: sinrDB, LQI: lqi, White: white})
 			}
-		} else if rx.maxInterfMW > noise*0.1 {
-			stats.DroppedCollision++
-		} else {
-			stats.DroppedBER++
 		}
 	}
 }
@@ -415,6 +451,7 @@ func (m *Medium) resolve(f *frame, lo, hi int, now sim.Time, stats *MediumStats,
 type Radio struct {
 	m            *Medium
 	id           int
+	addr         int32 // link-layer address filter; anyRadio takes every frame
 	txPowerDBm   float64
 	txPowMW      float64 // txPowerDBm converted once at SetTxPower
 	transmitting bool
@@ -438,6 +475,17 @@ func (r *Radio) ID() int { return r.id }
 // OnReceive installs the frame delivery handler. The data slice is shared
 // with the sender and must be treated as immutable.
 func (r *Radio) OnReceive(fn func(data []byte, info RxInfo)) { r.recv = fn }
+
+// anyRadio is the address of a promiscuous radio, and the destination of a
+// frame every radio takes (broadcasts, and frames too short to name one).
+const anyRadio = -1
+
+// SetAddr installs the receiver's link-layer address filter: a frame whose
+// destination (packet.FrameDst) is neither addr nor broadcast still
+// occupies, interferes with and is drawn for at this radio, and counts in
+// MediumStats, but never reaches the OnReceive handler. A radio without an
+// address is promiscuous.
+func (r *Radio) SetAddr(addr packet.Addr) { r.addr = int32(addr) }
 
 // SetTxPower sets the transmit power in dBm for subsequent transmissions.
 func (r *Radio) SetTxPower(dbm float64) {

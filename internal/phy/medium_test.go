@@ -2,8 +2,10 @@ package phy
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"fourbit/internal/packet"
 	"fourbit/internal/sim"
 	"fourbit/internal/topo"
 )
@@ -282,4 +284,168 @@ func TestMediumStatsConsistency(t *testing.T) {
 				func() { g.RunUntil(frames*5*sim.Millisecond + 10*sim.Millisecond) })
 		})
 	}
+}
+
+// TestAddressFilterMatchesPromiscuousMedium is the differential test of
+// the draws-only path. Two media are built from one seed with the channel
+// randomness on (shadowing, fading, noise drift, per-packet jitter) and
+// carry one script of unicast data, acks and broadcasts, dense enough to
+// collide. One medium's radios carry addresses, so it resolves overheard
+// frames draws-only; the other's are promiscuous, and their handler applies
+// the MAC's address filter itself. Both must count the same MediumStats,
+// hand every addressee the same frames with the same RxInfo, and leave
+// every random stream at the same position — serially and sharded.
+func TestAddressFilterMatchesPromiscuousMedium(t *testing.T) {
+	const n, seed = 12, 5
+	tp := topo.Line(n, 9)
+	run := func(t *testing.T, shards int, addressed bool) string {
+		seeds := sim.NewSeedSpace(seed)
+		ch := PrecomputeGeo(tp, DefaultParams()).NewChannel(seeds)
+		clocks := []*sim.Simulator{sim.New(seed)}
+		m := NewMedium(clocks[0], ch, DefaultRadioParams(), DefaultLQIParams(), seeds)
+		shardOf := make([]int32, n)
+		var g *sim.ShardGroup
+		if shards > 0 {
+			clocks = make([]*sim.Simulator, shards)
+			for i := range clocks {
+				clocks[i] = sim.New(seed)
+			}
+			for i := range shardOf {
+				shardOf[i] = int32(i * shards / n)
+			}
+			const epoch = 200 * sim.Microsecond
+			m.EnableSharded(clocks, shardOf, epoch, seeds)
+			g = sim.NewShardGroup(clocks, epoch, m.ShardExchange)
+			defer g.Close()
+		}
+		logs := make([][]string, n) // per receiver: shards dispatch concurrently
+		for i := 0; i < n; i++ {
+			i := i
+			if addressed {
+				m.Radio(i).SetAddr(packet.Addr(i))
+			}
+			m.Radio(i).OnReceive(func(data []byte, info RxInfo) {
+				if dst, ok := packet.FrameDst(data); !addressed && ok && dst != packet.Addr(i) && dst != packet.Broadcast {
+					return
+				}
+				logs[i] = append(logs[i], fmt.Sprintf("%x %+v snr=%s", data, info, hexf(info.SNRdB)))
+			})
+		}
+		// The script comes from its own stream, identical in both runs:
+		// every node sends every ~4 ms, so airtimes overlap.
+		script := sim.NewRand(seed)
+		const frames = 600
+		for k := 0; k < frames; k++ {
+			src := script.Intn(n)
+			f := packet.Frame{Type: packet.TypeData, Seq: uint8(k), Src: packet.Addr(src), Dst: packet.Broadcast,
+				Payload: make([]byte, 5+script.Intn(30))}
+			switch script.Intn(3) {
+			case 0:
+				f.Dst = packet.Addr((src + 1 + script.Intn(n-1)) % n)
+			case 1:
+				f.Type, f.Payload, f.Dst = packet.TypeAck, nil, packet.Addr((src+1+script.Intn(n-1))%n)
+			}
+			data, err := f.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := sim.Time(script.Int63n(int64(frames / n * 4 * sim.Millisecond)))
+			clocks[shardOf[src]].At(at, func() {
+				if r := m.Radio(src); !r.Transmitting() {
+					r.Transmit(data)
+				}
+			})
+		}
+		if g != nil {
+			g.RunUntil(sim.Second)
+		} else {
+			clocks[0].RunUntil(sim.Second)
+		}
+
+		var b strings.Builder
+		fmt.Fprintf(&b, "stats=%+v\n", m.Stats)
+		names := []string{"phy/medium", "phy/noise", "phy/fade", "phy/static"}
+		next := seeds.Stream
+		if shards > 0 {
+			names, next = nil, seeds.Light
+			for i := 0; i < n; i++ {
+				names = append(names, fmt.Sprintf("shard/medium/%d", i), fmt.Sprintf("shard/fade/%d", i), fmt.Sprintf("shard/noise/%d", i))
+			}
+		}
+		for _, name := range names {
+			fmt.Fprintf(&b, "%s next=%d\n", name, next(name).Int63())
+		}
+		delivered := 0
+		for i, log := range logs {
+			delivered += len(log)
+			fmt.Fprintf(&b, "node %d:\n  %s\n", i, strings.Join(log, "\n  "))
+		}
+		if m.Stats.DroppedBER+m.Stats.DroppedCollision == 0 || m.Stats.Delivered <= uint64(delivered) || delivered == 0 {
+			t.Errorf("degenerate script: stats %+v, %d addressed deliveries", m.Stats, delivered)
+		}
+		return b.String()
+	}
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			if got, want := run(t, shards, true), run(t, shards, false); got != want {
+				t.Fatalf("addressed medium diverges from promiscuous one\naddressed:\n%s\npromiscuous:\n%s", got, want)
+			}
+		})
+	}
+}
+
+// BenchmarkMediumResolve is the medium's rung of the layer ladder: one op
+// is one transmission on a Mirage-sized medium (85 nodes; a frame reaches
+// most of them) from a rotating sender, cycling unicast data, a broadcast
+// beacon and an ack. Every radio carries its address as the MAC sets it,
+// so most receivers resolve the frame draws-only, as in a full run. The
+// clock runs through each frame's end, so an op covers the arrive sweep,
+// the resolve sweep and the addressees' upcalls. A warm-up round fills the
+// frame pool, the timer wheel and the PRR-table cache; the steady state
+// must not allocate.
+func BenchmarkMediumResolve(b *testing.B) {
+	const n = 85
+	seeds := sim.NewSeedSpace(1)
+	clock := sim.New(1)
+	ch := PrecomputeGeo(topo.Mirage(1), DefaultParams()).NewChannel(seeds)
+	m := NewMedium(clock, ch, DefaultRadioParams(), DefaultLQIParams(), seeds)
+	upcalls := 0
+	frames := make([][3][]byte, n) // per sender: data, beacon, ack
+	for i := 0; i < n; i++ {
+		m.Radio(i).SetAddr(packet.Addr(i))
+		m.Radio(i).OnReceive(func([]byte, RxInfo) { upcalls++ })
+		src, dst := packet.Addr(i), packet.Addr((i+1)%n)
+		for k, f := range []packet.Frame{
+			{Type: packet.TypeData, AckRequest: true, Src: src, Dst: dst, Payload: make([]byte, 28)},
+			{Type: packet.TypeBeacon, Src: src, Dst: packet.Broadcast, Payload: make([]byte, 14)},
+			{Type: packet.TypeAck, Src: src, Dst: dst},
+		} {
+			enc, err := f.Encode()
+			if err != nil {
+				b.Fatal(err)
+			}
+			frames[i][k] = enc
+		}
+	}
+	send := func(k int) {
+		src := k % n
+		air := m.Radio(src).Transmit(frames[src][k%3])
+		clock.RunUntil(clock.Now() + air + sim.Millisecond)
+	}
+	for k := 0; k < 3*n; k++ {
+		send(k)
+	}
+	st0, up0 := m.Stats, upcalls
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		send(k)
+	}
+	b.StopTimer()
+	tx := float64(m.Stats.Transmissions - st0.Transmissions)
+	if m.Stats.Delivered == st0.Delivered || upcalls == up0 {
+		b.Fatal("medium bench delivered nothing; medium degenerate")
+	}
+	b.ReportMetric(float64(m.Stats.Delivered-st0.Delivered)/tx, "rx/tx")
+	b.ReportMetric(float64(upcalls-up0)/tx, "upcalls/tx")
 }

@@ -58,12 +58,14 @@ const (
 // [subLo, subHi) are certainly strictly between 0 and 1 (one draw,
 // resolved against the cell's bounds); every other cell sits in the
 // neighborhood of the ==1.0 or ==0.0 threshold and takes the analytic
-// path.
+// path. certainDB is the SINR from which Decide returns true without a
+// draw: the bottom edge of cell oneAt, or the domain top if that is lower.
 type PRRTable struct {
 	frameBytes   int
 	val          []float64 // exact PRR at the prrTableCells+1 grid points
 	oneAt        int
 	subLo, subHi int
+	certainDB    float64
 }
 
 // FrameBytes returns the frame length this table was built for.
@@ -111,6 +113,10 @@ func buildPRRTable(frameBytes int) *PRRTable {
 	}
 	t.oneAt = oneFrom + 2
 	t.subLo, t.subHi = zeroTo+2, oneFrom-2
+	// The edge is a dyadic rational that float64 holds exactly, and float
+	// subtraction and the power-of-two scale in Decide are monotone, so any
+	// sinrDB at or above it lands in a cell ≥ oneAt (or at the domain top).
+	t.certainDB = min(prrTableMinDB+float64(float64(t.oneAt)*step), prrTableMaxDB)
 	return t
 }
 
