@@ -52,7 +52,8 @@ golden:
 # fuzz-smoke runs each native fuzz target briefly against the saved seed
 # corpus plus a few seconds of new inputs — a tripwire for decoder and
 # parser regressions (panics, untyped errors, scratch aliasing, specs that
-# do not survive a JSON round trip), not a deep campaign. Longer runs:
+# do not survive a JSON round trip) and for an overheard reception whose
+# bound-only decision leaves the exact path, not a deep campaign. Longer runs:
 # go test -fuzz FuzzDecodeEvent ./internal/serve/wire
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/packet
@@ -63,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCreateInstance -fuzztime 5s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 5s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzParseSweep -fuzztime 5s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz FuzzOverheardResolve -fuzztime 5s ./internal/phy
 
 # serve-soak is the long-haul chaos run: 8 instances (2 per estimator
 # kind) under sustained randomized ingest with concurrent queriers, one

@@ -125,6 +125,12 @@ func TestCLIErrorContract(t *testing.T) {
 			wantOut: []string{"degraded 0.1h..0.3h"},
 		},
 		{
+			// No sample precedes a degradation inside the first 10 min
+			// window, and the 0.2 h span holds one unacked sample.
+			name: "fig3 summaries without samples read n/a", args: []string{"fig3", "-hours", "0.4", "-from", "0.1", "-until", "0.3"}, wantCode: 0,
+			wantOut: []string{"PRR  before n/a -> during 0.", "LQI  before n/a -> during 1", "unacked ramp: n/a before -> n/a during"},
+		},
+		{
 			name: "serve zero queue depth", args: []string{"serve", "-queue-depth", "0"}, wantCode: 2,
 			wantErr: []string{"-queue-depth must be positive, got 0"},
 		},

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"fourbit/internal/collect"
 	"fourbit/internal/lqirouter"
@@ -52,7 +53,9 @@ func DefaultFig3Config(seed uint64) Fig3Config {
 }
 
 // Fig3Result carries the three series of the paper's Figure 3 plus summary
-// statistics over the before/during windows.
+// statistics over the before/during windows. A summary is NaN when its
+// window holds too few samples: none for a mean, fewer than two for a
+// ramp rate.
 type Fig3Result struct {
 	P, C int // data flows P -> C; C is P's parent at selection time
 
@@ -183,26 +186,36 @@ func RunFig3(cfg Fig3Config) *Fig3Result {
 	return res
 }
 
-// rampRate estimates the per-hour growth of a cumulative series over [t0, t1].
+// rampRate estimates the per-hour growth of a cumulative series over [t0,
+// t1], or NaN when fewer than two of its samples fall in the span: one
+// sample shows no growth, not a zero rate.
 func rampRate(s *metrics.Series, t0, t1 float64) float64 {
-	if t1 <= t0 {
-		return 0
-	}
 	var first, last float64
-	var seen bool
+	seen := 0
 	for i, t := range s.T {
 		if t < t0 || t > t1 {
 			continue
 		}
-		if !seen {
-			first, seen = s.V[i], true
+		if seen == 0 {
+			first = s.V[i]
 		}
 		last = s.V[i]
+		seen++
 	}
-	if !seen {
-		return 0
+	if seen < 2 || t1 <= t0 {
+		return math.NaN()
 	}
 	return (last - first) / (t1 - t0)
+}
+
+// orNA formats v with format, or as "n/a" when v is NaN: a summary whose
+// span holds no sample (a degradation that starts within the first sample
+// window has no "before").
+func orNA(format string, v float64) string {
+	if math.IsNaN(v) {
+		return "n/a"
+	}
+	return fmt.Sprintf(format, v)
 }
 
 // Fprint renders the three Figure 3 series and the summary rows.
@@ -225,9 +238,9 @@ func (r *Fig3Result) Fprint(w io.Writer) {
 		}
 		fmt.Fprintf(w, "%6.2f %8.3f %8.1f %10.0f\n", r.PRR.T[i], r.PRR.V[i], lqi, un)
 	}
-	fmt.Fprintf(w, "\nPRR  before %.3f -> during %.3f   (paper: 0.9 -> ~0.6)\n", r.PRRBefore, r.PRRDuring)
-	fmt.Fprintf(w, "LQI  before %.1f -> during %.1f   (paper: stays high, ~100+)\n", r.LQIBefore, r.LQIDuring)
-	fmt.Fprintf(w, "unacked ramp: %.0f/h before -> %.0f/h during (paper: sharp ramp hours 4-6)\n",
-		r.UnackedRateBefore, r.UnackedRateDuring)
+	fmt.Fprintf(w, "\nPRR  before %s -> during %s   (paper: 0.9 -> ~0.6)\n", orNA("%.3f", r.PRRBefore), orNA("%.3f", r.PRRDuring))
+	fmt.Fprintf(w, "LQI  before %s -> during %s   (paper: stays high, ~100+)\n", orNA("%.1f", r.LQIBefore), orNA("%.1f", r.LQIDuring))
+	fmt.Fprintf(w, "unacked ramp: %s before -> %s during (paper: sharp ramp hours 4-6)\n",
+		orNA("%.0f/h", r.UnackedRateBefore), orNA("%.0f/h", r.UnackedRateDuring))
 	fmt.Fprintf(w, "overall delivery ratio: %.1f%%\n", r.DeliveryRatio*100)
 }

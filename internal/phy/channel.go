@@ -116,26 +116,11 @@ type Channel struct {
 
 	noiseMWStatic []float64 // per node: floor + noise figure in milliwatts
 
-	// Dynamics bookkeeping. AddNoiseModifier bumps noiseEpoch, which
-	// invalidates the same-instant noise memo below; SetModifier maintains
-	// linkModCount, the gain side's invalidation mechanism — while it is
-	// zero (no scripted link dynamics installed, the common case for every
-	// non-scenario run) the per-query fast path skips the modifier map
-	// lookup entirely. There is no gain-side memo to version:
-	// same-instant gain repeats were measured too rare to pay for one.
-	noiseEpoch   uint32
+	// linkModCount counts the installed link modifiers (SetModifier keeps
+	// it): while it is zero — no scripted link dynamics, the common case
+	// for every non-scenario run — the per-query fast path skips the
+	// modifier map lookup entirely.
 	linkModCount int
-
-	// Same-instant noise memo: a (time, epoch)-keyed cache of the last
-	// computed noise power per receiver. A hit can only occur for a
-	// repeated query at an identical timestamp, where the OU and
-	// Gilbert–Elliott processes are no-ops by construction (dt == 0 draws
-	// nothing), so the memo is exactness-transparent: it never changes a
-	// value or the random-stream consumption. (A per-link gain memo was
-	// measured too: same-instant gain repeats are so rare that its n²
-	// stores cost more than the hits saved, so only the noise path keeps
-	// a memo.)
-	noiseMemo []chanMemo // n
 
 	// Per-family OU transition-coefficient caches; see ouCoeffs. burstCo
 	// is the analogous shared decay cache for the per-node noise-burst
@@ -201,14 +186,6 @@ func (c *Channel) EnableSharded(seeds *sim.SeedSpace, shardOf []int32, shards in
 // Sharded reports whether EnableSharded has switched this channel to the
 // per-directed-link representation.
 func (c *Channel) Sharded() bool { return c.shardFadeRng != nil }
-
-// chanMemo is one slot of the same-instant memo. epoch 0 is never current
-// (epochs start at 1), so the zero value is invalid without initialization.
-type chanMemo struct {
-	at    sim.Time
-	epoch uint32
-	val   float64
-}
 
 // ChannelPre is the immutable, seed-independent half of a channel: the
 // deterministic near-pair geometry (see spatial.go) plus the parameters.
@@ -288,8 +265,6 @@ func (pre *ChannelPre) NewChannel(seeds *sim.SeedSpace) *Channel {
 	for i := 0; i < n; i++ {
 		c.noiseMWStatic[i] = DBmToMilliwatts(p.NoiseFloorDBm + c.noiseFigDB[i])
 	}
-	c.noiseEpoch = 1
-	c.noiseMemo = make([]chanMemo, n)
 	return c
 }
 
@@ -400,35 +375,43 @@ func (c *Channel) NoiseDBm(rx int, t sim.Time) float64 {
 
 // NoiseMW is NoiseDBm in milliwatts: the static floor + noise figure come
 // from a precomputed table and only the drift/burst dB excursion pays a
-// conversion. Sampling order matches NoiseDBm exactly, and repeated
-// queries at one instant hit the epoch-versioned memo.
+// conversion. Sampling order matches NoiseDBm exactly.
 func (c *Channel) NoiseMW(rx int, t sim.Time) float64 {
-	memo := &c.noiseMemo[rx]
-	if memo.at == t && memo.epoch == c.noiseEpoch {
-		return memo.val
-	}
-	mw := c.noiseMWStatic[rx]
-	varDB := 0.0
+	return noiseMW(c.noiseParts(rx, t))
+}
+
+// noiseParts samples rx's noise processes at t, in NoiseDBm's order, and
+// returns the two factors of NoiseMW: the static floor + noise figure in
+// milliwatts and the time-varying excursion (drift, burst, scripted
+// modifiers) in dB. The medium converts the excursion only when a
+// reception needs the exact noise power. A second query at one instant
+// returns the same parts and draws nothing: the OU process holds its value
+// at dt ≤ 0 and the burst process steps only forward.
+func (c *Channel) noiseParts(rx int, t sim.Time) (staticMW, excDB float64) {
 	if c.p.NoiseDriftSigmaDB > 0 {
 		rng, co := c.noiseRng, &c.noiseCo
 		if c.shardNoiseRng != nil {
 			rng, co = c.shardNoiseRng[rx], &c.shardNoiseCo[c.shardOf[rx]]
 		}
-		varDB = c.noiseDrift[rx].sample(t, c.p.NoiseDriftTau, c.p.NoiseDriftSigmaDB, rng, co)
+		excDB = c.noiseDrift[rx].sample(t, c.p.NoiseDriftTau, c.p.NoiseDriftSigmaDB, rng, co)
 	}
 	if c.bursts != nil {
-		varDB += c.bursts[rx].ExtraLossDB(t)
+		excDB += c.bursts[rx].ExtraLossDB(t)
 	}
 	if c.noiseMods != nil {
 		for _, m := range c.noiseMods[rx] {
-			varDB += m.ExtraLossDB(t)
+			excDB += m.ExtraLossDB(t)
 		}
 	}
-	if varDB != 0 {
-		mw *= DBToLinear(varDB)
+	return c.noiseMWStatic[rx], excDB
+}
+
+// noiseMW joins noiseParts' factors into the noise power in milliwatts.
+func noiseMW(staticMW, excDB float64) float64 {
+	if excDB != 0 {
+		staticMW *= DBToLinear(excDB)
 	}
-	*memo = chanMemo{at: t, epoch: c.noiseEpoch, val: mw}
-	return mw
+	return staticMW
 }
 
 // SetModifier installs (or clears, with nil) a scripted loss process on the
@@ -477,7 +460,6 @@ func (c *Channel) AddNoiseModifier(rx int, m LinkModifier) {
 		c.noiseMods = make([][]LinkModifier, c.n)
 	}
 	c.noiseMods[rx] = append(c.noiseMods[rx], m)
-	c.noiseEpoch++
 }
 
 // ExpectedSNRdB returns the static (no fading, no drift) SNR for a packet

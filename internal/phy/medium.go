@@ -376,13 +376,10 @@ func (m *Medium) arrive(f *frame, lo, hi int, stats *MediumStats) {
 // table caching in prrT.
 //
 // A receiver whose address filter drops the frame (overheard unicast and
-// acks: most receptions in a dense network) resolves draws-only: it takes
-// the noise sample, the jitter, the reception draw and the LQI draw
-// exactly as a delivery would, and counts the outcome, but builds no
-// RxInfo and makes no upcall. When a certified lower bound on the SINR in
-// dB already clears the length's certain-delivery threshold — where Decide
-// draws nothing — it skips the logarithm too. Every stream therefore
-// advances exactly as if the frame were delivered and dropped above.
+// acks: most receptions in a dense network) resolves it through overhear,
+// which needs only the outcome, counts it, and builds no RxInfo and makes
+// no upcall. Every stream advances exactly as if the frame were delivered
+// and dropped above.
 func (m *Medium) resolve(f *frame, lo, hi int, now sim.Time, stats *MediumStats, prrT *[]*PRRTable) {
 	cands := m.candidates[f.from]
 	tb := prrTable(len(f.data), prrT)
@@ -411,8 +408,7 @@ func (m *Medium) resolve(f *frame, lo, hi int, now sim.Time, stats *MediumStats,
 			continue
 		}
 		rj.rx = nil
-		noise := m.ch.NoiseMW(j, now)
-		sinrLin := rx.powerMW / (noise + m.rp.InterferenceFactor*rx.maxInterfMW)
+		staticMW, excDB := m.ch.noiseParts(j, now)
 		rng := m.rxRng[j]
 		// Fast per-packet variation (multipath ISI): one draw decides both
 		// the frame's fate and, if it survives, the quality it reports —
@@ -421,21 +417,27 @@ func (m *Medium) resolve(f *frame, lo, hi int, now sim.Time, stats *MediumStats,
 		if sigma := m.ch.PacketJitterSigmaDB(); sigma > 0 {
 			jitter = rng.Normal(0, sigma)
 		}
-		overheard := f.dst != anyRadio && rj.addr != anyRadio && f.dst != rj.addr
-		var sinrDB float64
-		ok := overheard && tb != nil && float64(dbLowerBound(sinrLin)+jitter) >= tb.certainDB
-		if !ok {
-			sinrDB = LinearToDB(sinrLin) + jitter
-			ok = prrDecide(sinrDB, len(f.data), tb, rng)
+		interf := float64(m.rp.InterferenceFactor * rx.maxInterfMW)
+		if f.dst != anyRadio && rj.addr != anyRadio && f.dst != rj.addr {
+			switch ok, collision := overhear(rx, staticMW, excDB, interf, jitter, tb, len(f.data), rng); {
+			case ok:
+				stats.Delivered++
+				rng.NormFloat64() // the LQI synthesis draw
+			case collision:
+				stats.DroppedCollision++
+			default:
+				stats.DroppedBER++
+			}
+			continue
 		}
+		noise := noiseMW(staticMW, excDB)
+		sinrDB := LinearToDB(rx.powerMW/(noise+interf)) + jitter
+		ok := prrDecide(sinrDB, len(f.data), tb, rng)
 		switch {
 		case !ok && rx.maxInterfMW > noise*0.1:
 			stats.DroppedCollision++
 		case !ok:
 			stats.DroppedBER++
-		case overheard:
-			stats.Delivered++
-			rng.NormFloat64() // the LQI synthesis draw
 		default:
 			lqi, white := m.lqip.Synthesize(sinrDB, rng)
 			stats.Delivered++
@@ -444,6 +446,70 @@ func (m *Medium) resolve(f *frame, lo, hi int, now sim.Time, stats *MediumStats,
 			}
 		}
 	}
+}
+
+// overhear takes the reception decision for a frame the receiver's address
+// filter drops, bit-identical to the exact path in outcome and in every
+// draw, and reports whether it was delivered and, if not, whether the loss
+// counts as a collision. Only the outcome matters here, so it decides from
+// certified bounds when they suffice and computes no transcendental:
+//
+//   - linearBounds brackets the noise excursion's DBToLinear, and the
+//     bracket carries through the SINR's float operations, each monotone
+//     in the noise, to an SINR interval in dB (dbLowerBound, dbUpperBound,
+//     then the jitter);
+//   - an interval at or above the table's certainDB delivers without a
+//     draw, as Decide does there;
+//   - an interval inside the certainly-sub-one cells takes Decide's one
+//     draw u and settles it against the interval's extreme cell bounds;
+//   - a u between those, or any other interval (or no table), falls back
+//     to the exact noise, LinearToDB and PRR, reusing the u already drawn;
+//   - a loss is a collision when the interference exceeds a tenth of the
+//     noise, which the noise bracket decides unless it straddles it.
+func overhear(rx *reception, staticMW, excDB, interf, jitter float64, tb *PRRTable, frameBytes int, rng *sim.Rand) (ok, collision bool) {
+	nLo, nHi := staticMW, staticMW
+	if excDB != 0 {
+		eLo, eHi := linearBounds(excDB)
+		nLo, nHi = float64(staticMW*eLo), float64(staticMW*eHi)
+	}
+	u := -1.0 // the reception draw, once taken
+	settled := false
+	if tb != nil {
+		dbLo := float64(dbLowerBound(rx.powerMW/(nHi+interf)) + jitter)
+		if dbLo >= tb.certainDB {
+			return true, false
+		}
+		dbHi := float64(dbUpperBound(rx.powerMW/(nLo+interf)) + jitter)
+		if iLo, iHi, in := tb.subCells(dbLo, dbHi); in {
+			u = rng.Float64()
+			pLo, _ := tb.cellBounds(iLo)
+			_, pHi := tb.cellBounds(iHi)
+			ok, settled = u < pLo, u < pLo || u >= pHi
+		}
+	}
+	noise := -1.0 // the exact noise power, once computed
+	if !settled {
+		noise = noiseMW(staticMW, excDB)
+		sinrDB := LinearToDB(rx.powerMW/(noise+interf)) + jitter
+		if u < 0 {
+			ok = prrDecide(sinrDB, frameBytes, tb, rng)
+		} else {
+			ok = tb.settle(cellOf(sinrDB), sinrDB, u)
+		}
+	}
+	if ok || rx.maxInterfMW == 0 {
+		return ok, false
+	}
+	if noise < 0 {
+		switch {
+		case rx.maxInterfMW > float64(nHi*0.1):
+			return false, true
+		case rx.maxInterfMW <= float64(nLo*0.1):
+			return false, false
+		}
+		noise = noiseMW(staticMW, excDB)
+	}
+	return false, rx.maxInterfMW > noise*0.1
 }
 
 // Radio is one node's transceiver. MAC layers drive it through Transmit and

@@ -161,18 +161,28 @@ func (t *PRRTable) Decide(sinrDB float64, rng *sim.Rand) bool {
 	if sinrDB < prrTableMinDB {
 		return rng.Bernoulli(PRR(sinrDB, t.frameBytes))
 	}
-	i := int((sinrDB - prrTableMinDB) * prrTableStepsPerDB)
-	if i >= prrTableCells {
-		i = prrTableCells - 1
-	}
+	i := cellOf(sinrDB)
 	if i >= t.oneAt {
 		return true
 	}
 	if i < t.subLo || i >= t.subHi {
 		return rng.Bernoulli(PRR(sinrDB, t.frameBytes))
 	}
+	return t.settle(i, sinrDB, rng.Float64())
+}
+
+// cellOf returns the grid cell of an SINR in [prrTableMinDB,
+// prrTableMaxDB). The index is monotone in sinrDB: the subtraction and the
+// power-of-two scale round monotonically, and int truncates.
+func cellOf(sinrDB float64) int {
+	return min(int((sinrDB-prrTableMinDB)*prrTableStepsPerDB), prrTableCells-1)
+}
+
+// settle resolves the reception draw u for an SINR in the certainly-sub-one
+// cell i: against the cell's certified bounds, and against the analytic
+// PRR only when u lands between them.
+func (t *PRRTable) settle(i int, sinrDB, u float64) bool {
 	lo, hi := t.cellBounds(i)
-	u := rng.Float64()
 	if u < lo {
 		return true
 	}
@@ -180,6 +190,20 @@ func (t *PRRTable) Decide(sinrDB float64, rng *sim.Rand) bool {
 		return false
 	}
 	return u < PRR(sinrDB, t.frameBytes)
+}
+
+// subCells returns the cells of lo and hi when every SINR in [lo, hi] lies
+// in a certainly-sub-one cell, where Decide takes exactly one draw and
+// settles it; ok is false otherwise. For a draw u, every SINR in the
+// interval delivers when u is below the lower bound of cell iLo and drops
+// when u is at or above the upper bound of cell iHi: the bounds are
+// certified over their cells and PRR increases with SINR.
+func (t *PRRTable) subCells(lo, hi float64) (iLo, iHi int, ok bool) {
+	if !(lo >= prrTableMinDB && hi < prrTableMaxDB) {
+		return 0, 0, false
+	}
+	iLo, iHi = cellOf(lo), cellOf(hi)
+	return iLo, iHi, iLo >= t.subLo && iHi < t.subHi
 }
 
 // CertifiedUpperPRR returns a certified upper bound on the analytic
@@ -197,11 +221,7 @@ func (t *PRRTable) CertifiedUpperPRR(sinrDB float64) float64 {
 	if sinrDB < prrTableMinDB {
 		sinrDB = prrTableMinDB
 	}
-	i := int((sinrDB - prrTableMinDB) * prrTableStepsPerDB)
-	if i >= prrTableCells {
-		i = prrTableCells - 1
-	}
-	_, hi := t.cellBounds(i)
+	_, hi := t.cellBounds(cellOf(sinrDB))
 	return hi
 }
 

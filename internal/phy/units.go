@@ -41,13 +41,31 @@ const dBPerOctave = 10 * math.Ln2 / math.Ln10
 const dbBoundSlack = 1e-9
 
 // dbMant[k] is 10·log10(1+k/256) minus dbBoundSlack: the dB value of the
-// bottom of mantissa bucket k (the top 8 mantissa bits).
-var dbMant = func() (t [256]float64) {
-	for k := range t {
-		t[k] = float64(10*math.Log10(1+float64(k)/256)) - dbBoundSlack
+// bottom of mantissa bucket k (the top 8 mantissa bits). dbMantHi[k] is
+// the top of the bucket, 10·log10(1+(k+1)/256), plus dbBoundSlack.
+var dbMant, dbMantHi = func() (lo, hi [256]float64) {
+	for k := range lo {
+		lo[k] = float64(10*math.Log10(1+float64(k)/256)) - dbBoundSlack
+		hi[k] = float64(10*math.Log10(1+float64(k+1)/256)) + dbBoundSlack
 	}
-	return t
+	return lo, hi
 }()
+
+// dbBucket splits a positive finite x into its binary exponent e and its
+// mantissa bucket k (the top 8 mantissa bits), so that x lies in
+// [2^e·(1+k/256), 2^e·(1+(k+1)/256)). A subnormal is renormalised by 2^52
+// first, so its bucket brackets its true value; amd64's math.Log reads
+// subnormals as (1+f)·2^-1023 and lands up to ~154 dB above the truth, which
+// the bounds therefore do not follow.
+func dbBucket(x float64) (e int, k uint64) {
+	b := math.Float64bits(x)
+	e = int(b>>52) - 1023
+	if e == -1023 {
+		b = math.Float64bits(x * (1 << 52))
+		e = int(b>>52) - 1023 - 52
+	}
+	return e, b >> 44 & 0xff
+}
 
 // dbLowerBound returns a lower bound on LinearToDB(x) that is at most
 // ~0.017 dB below it (one mantissa bucket, 10·log10(1+1/256)), from the
@@ -59,11 +77,66 @@ func dbLowerBound(x float64) float64 {
 	if !(x > 0) || x > math.MaxFloat64 {
 		return math.Inf(-1)
 	}
-	b := math.Float64bits(x)
-	e := int(b>>52) - 1023
-	if e == -1023 { // subnormal: renormalise by 2^52
-		b = math.Float64bits(x * (1 << 52))
-		e = int(b>>52) - 1023 - 52
+	e, k := dbBucket(x)
+	return float64(float64(e)*dBPerOctave) + dbMant[k]
+}
+
+// dbUpperBound is dbLowerBound's mirror: an upper bound on LinearToDB(x) at
+// most ~0.017 dB above it, read at the top of x's mantissa bucket. Zero and
+// negative inputs bound at −Inf (where LinearToDB is −Inf); +Inf and NaN
+// bound at +Inf.
+func dbUpperBound(x float64) float64 {
+	if x <= 0 {
+		return math.Inf(-1)
 	}
-	return float64(float64(e)*dBPerOctave) + dbMant[b>>44&0xff]
+	if !(x <= math.MaxFloat64) {
+		return math.Inf(1)
+	}
+	e, k := dbBucket(x)
+	return float64(float64(e)*dBPerOctave) + dbMantHi[k]
+}
+
+// linBoundSteps is 256·log2(e): DBToLinear(db) = exp(y) = 2^(y·log2(e)) for
+// y = db·ln10div10, so y·linBoundSteps counts 1/256-octave steps.
+const linBoundSteps = 256 * math.Log2E
+
+// linBoundMaxY bounds |y| where linearBounds brackets: e^±600 and its table
+// scaling stay well inside the normal float64 range, and the rounding of
+// y·linBoundSteps stays below 1e-10 steps.
+const linBoundMaxY = 600
+
+// linBoundSlack widens every linLo/linHi entry, relatively. It covers the
+// rounding of y·linBoundSteps (≤ 1e-10 of a step, ~3e-13 relative), of
+// the table entries, and math.Exp's own error of a few ulps — so the
+// bracket holds against the computed DBToLinear, not only the exact one.
+const linBoundSlack = 1e-9
+
+// linLo[k] is 2^(k/256)·(1−linBoundSlack) and linHi[k] is
+// 2^((k+1)/256)·(1+linBoundSlack): the bottom and top of step k of an
+// octave.
+var linLo, linHi = func() (lo, hi [256]float64) {
+	for k := range lo {
+		lo[k] = float64(math.Exp2(float64(k)/256) * (1 - linBoundSlack))
+		hi[k] = float64(math.Exp2(float64(k+1)/256) * (1 + linBoundSlack))
+	}
+	return lo, hi
+}()
+
+// linearBounds returns lo ≤ DBToLinear(db) ≤ hi, at most a factor
+// 2^(1/256) (~0.27%, 0.012 dB) apart, from a table lookup and the exponent
+// bits instead of an exponential. Where |db·ln10div10| exceeds
+// linBoundMaxY, and for NaN, it returns the vacuous bracket (0, +Inf).
+// Both results are a table entry times a power of two, which is exact.
+func linearBounds(db float64) (lo, hi float64) {
+	y := db * ln10div10 // the argument DBToLinear hands to math.Exp
+	if !(math.Abs(y) <= linBoundMaxY) {
+		return 0, math.Inf(1)
+	}
+	s := y * linBoundSteps
+	n := int(s)
+	if float64(n) > s { // int truncates toward zero; take the floor
+		n--
+	}
+	p := math.Float64frombits(uint64(n>>8+1023) << 52) // 2^floor(n/256)
+	return linLo[n&0xff] * p, linHi[n&0xff] * p
 }
