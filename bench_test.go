@@ -1,11 +1,11 @@
 package fourbit
 
-// Steady-state layer benchmarks: one simulated minute of collection under
-// each router, the medium's city-scale transmission cost (serial and
-// region-sharded), and the estimator's hot-path micro-benches. The paper's
-// cost orderings are asserted by tests (internal/scenario), and the
-// end-to-end perf record is perfbench (BENCHMARK.json); these benches carry
-// the allocation budgets `make bench-guard` enforces.
+// Layer benchmarks: a Figure 6 batch's set-up, one simulated minute of
+// collection under each router, the medium's city-scale transmission cost
+// (serial and region-sharded), and the estimator's hot-path micro-benches.
+// The paper's cost orderings are asserted by tests (internal/scenario), and
+// the end-to-end perf record is perfbench (BENCHMARK.json); these benches
+// carry the allocation budgets `make bench-guard` enforces.
 
 import (
 	"fmt"
@@ -17,6 +17,7 @@ import (
 	"fourbit/internal/node"
 	"fourbit/internal/packet"
 	"fourbit/internal/phy"
+	"fourbit/internal/scenario"
 	"fourbit/internal/sim"
 	"fourbit/internal/topo"
 )
@@ -208,6 +209,39 @@ func BenchmarkCityScale(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkFig6Setup is the set-up rung: what a Figure 6 request pays
+// before its first event. One op compiles the five-run batch
+// (scenario.BuildRuns), precomputes the channel once per distinct
+// (topology, phy params) cell as experiment.RunAllWorkers does, and builds
+// each run's environment. The batch shares one Mirage topology, so
+// precomputes/op reads 1.
+func BenchmarkFig6Setup(b *testing.B) {
+	specs := scenario.Fig6Specs(1, 25)
+	type cell struct {
+		tp  *topo.Topology
+		phy phy.Params
+	}
+	b.ReportAllocs()
+	before := phy.PrecomputeCount()
+	for i := 0; i < b.N; i++ {
+		rcs, err := scenario.BuildRuns(specs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pres := make(map[cell]*phy.ChannelPre)
+		for _, rc := range rcs {
+			env := experiment.EnvConfigFor(rc.Topo, rc.Seed, rc.TxPowerDBm)
+			k := cell{rc.Topo, env.Phy}
+			if pres[k] == nil {
+				pres[k] = phy.PrecomputeGeo(rc.Topo, env.Phy)
+			}
+			env.ChanPre = pres[k]
+			node.NewEnv(rc.Topo, env).Close()
+		}
+	}
+	b.ReportMetric(float64(phy.PrecomputeCount()-before)/float64(b.N), "precomputes/op")
 }
 
 func BenchmarkSimulatedMinuteCTP(b *testing.B) {

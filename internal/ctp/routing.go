@@ -44,12 +44,12 @@ func (n *Node) handleBeacon(src packet.Addr, cb *packet.CTPBeacon) {
 func (n *Node) hasRoute() bool { return n.isRoot || n.parent != packet.None }
 
 // routeFor returns the route slot for a, growing the dense table and
-// registering the address on first contact.
+// registering the address on first contact. append grows the table
+// geometrically, so a node that hears ever higher addresses copies it
+// O(log n) times, not once per address.
 func (n *Node) routeFor(a packet.Addr) *routeEntry {
 	if int(a) >= len(n.routes) {
-		grown := make([]routeEntry, int(a)+1)
-		copy(grown, n.routes)
-		n.routes = grown
+		n.routes = append(n.routes, make([]routeEntry, int(a)+1-len(n.routes))...)
 	}
 	e := &n.routes[a]
 	e.known = true

@@ -106,11 +106,14 @@ func RunEstCompare(seed uint64, minutes float64, workers int) *experiment.EstCom
 	return &experiment.EstCompareResult{Topo: rcs[0].Topo, Runs: experiment.RunAllWorkers(rcs, workers)}
 }
 
-// BuildRuns compiles a spec batch into experiment runs.
+// BuildRuns compiles a spec batch into experiment runs. Specs on one
+// geometry share one topology, so the batch pays one channel precompute
+// per geometry.
 func BuildRuns(specs []Spec) ([]experiment.RunConfig, error) {
 	rcs := make([]experiment.RunConfig, len(specs))
+	topos := topoCache{}
 	for i := range specs {
-		rc, err := specs[i].RunConfig()
+		rc, err := specs[i].runConfig(topos)
 		if err != nil {
 			return nil, err
 		}

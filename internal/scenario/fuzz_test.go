@@ -49,6 +49,10 @@ func FuzzParseSweep(f *testing.F) {
 	f.Add([]byte(`{"Base":{"Topology":{"Kind":"uniform","N":30}},"Axes":[{"Param":"nodes","Values":[20,40]},{"Param":"estimator","Strings":["4bit","lqi"]}]}`))
 	f.Add([]byte(`{"Axes":[{"Param":"txpower","Values":[0],"Strings":["x"]}]}`))
 	f.Add([]byte(`{"Axes":[{"Param":"bogus","Values":[1]}]}`))
+	f.Add([]byte(`{"Axes":[{"Param":"seed","Values":[-1,1.5,9007199254740992]}]}`))
+	f.Add([]byte(`{"Axes":[{"Param":"seed","Values":[0,9007199254740994]}]}`))
+	f.Add([]byte(`{"Axes":[{"Param":"nodes","Values":[10.7]},{"Param":"clusters","Values":[-0]}]}`))
+	f.Add([]byte(`{"Axes":[{"Param":"tablesize","Values":[7.9,1e300]}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sw, err := ParseSweep(data)

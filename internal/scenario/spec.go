@@ -291,11 +291,41 @@ func (s *Spec) Validate() error {
 
 // RunConfig compiles the spec into one experiment run.
 func (s *Spec) RunConfig() (experiment.RunConfig, error) {
+	return s.runConfig(topoCache{})
+}
+
+// topoCache holds the topologies one batch has built, keyed by the
+// TopoSpec with its effective placement seed filled in. Every run on one
+// geometry then shares one *topo.Topology, and so experiment.RunAllWorkers'
+// one channel precompute per (topology, phy params) cell. A Topology is
+// read-only once built, so runs on the worker pool share it as they share
+// the precompute.
+type topoCache map[TopoSpec]*topo.Topology
+
+// build returns ts's topology under masterSeed, building it on first use.
+func (c topoCache) build(ts TopoSpec, masterSeed uint64) (*topo.Topology, error) {
+	key := ts
+	if key.Seed == 0 {
+		key.Seed = masterSeed
+	}
+	if tp, ok := c[key]; ok {
+		return tp, nil
+	}
+	tp, err := ts.Build(masterSeed)
+	if err != nil {
+		return nil, err
+	}
+	c[key] = tp
+	return tp, nil
+}
+
+// runConfig is RunConfig over a batch's topology cache.
+func (s *Spec) runConfig(topos topoCache) (experiment.RunConfig, error) {
 	if err := s.Validate(); err != nil {
 		return experiment.RunConfig{}, err
 	}
 	p, _ := s.protocol()
-	tp, err := s.Topology.Build(s.Seed)
+	tp, err := topos.build(s.Topology, s.Seed)
 	if err != nil {
 		return experiment.RunConfig{}, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
@@ -419,7 +449,12 @@ func extraSinks(tp *topo.Topology, count int) []int {
 // otherwise the seeds come from experiment.ReplicaSeeds, so a scenario's
 // replication matches `fourbitsim replicate` exactly.
 func (s *Spec) Batch() ([]experiment.RunConfig, []uint64, error) {
-	rc, err := s.RunConfig()
+	return s.batch(topoCache{})
+}
+
+// batch is Batch over a batch's topology cache.
+func (s *Spec) batch(topos topoCache) ([]experiment.RunConfig, []uint64, error) {
+	rc, err := s.runConfig(topos)
 	if err != nil {
 		return nil, nil, err
 	}

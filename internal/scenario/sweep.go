@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"fourbit/internal/experiment"
@@ -73,8 +74,23 @@ func (a *Axis) validate() error {
 	if !stringly && len(a.Values) == 0 {
 		return fmt.Errorf("axis %q needs numeric Values", a.Param)
 	}
+	if integerParams[a.Param] {
+		for _, v := range a.Values {
+			// A value apply would truncate or wrap must not run under a
+			// label that names another value.
+			if v != math.Trunc(v) || math.Signbit(v) || v > maxIntegerValue {
+				return fmt.Errorf("axis %q needs whole numbers in [0, 2^53], got %v", a.Param, v)
+			}
+		}
+	}
 	return nil
 }
+
+// integerParams are the axes whose values apply converts to an integer.
+var integerParams = map[string]bool{"seed": true, "nodes": true, "clusters": true, "tablesize": true}
+
+// maxIntegerValue is 2^53: a float64 holds every integer up to it exactly.
+const maxIntegerValue = 1 << 53
 
 // label formats value i for result rows and CSV columns.
 func (a *Axis) label(i int) string {
@@ -238,7 +254,8 @@ type SweepResult struct {
 }
 
 // Run expands the grid, flattens every cell's replicate batch into one
-// submission to the experiment worker pool, and regroups per cell. workers
+// submission to the experiment worker pool, and regroups per cell. Cells
+// on one geometry share one topology and one channel precompute. workers
 // <= 0 means the default pool (all CPUs). Because RunAllWorkers' results
 // depend only on the RunConfigs, a sweep's output is byte-identical for
 // every worker count.
@@ -256,8 +273,9 @@ func (sw *Sweep) Run(workers int) (*SweepResult, error) {
 	}
 	var flat []experiment.RunConfig
 	spans := make([]span, len(cells))
+	topos := topoCache{}
 	for i := range cells {
-		rcs, seeds, err := cells[i].Spec.Batch()
+		rcs, seeds, err := cells[i].Spec.batch(topos)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -37,11 +38,32 @@ func TestSweepValidationErrors(t *testing.T) {
 		{"both kinds", Sweep{Axes: []Axis{{Param: "txpower", Values: []float64{1}, Strings: []string{"a"}}}}, "both Values and Strings"},
 		{"stringly needs strings", Sweep{Axes: []Axis{{Param: "protocol", Values: []float64{1}}}}, "needs Strings"},
 		{"numeric needs values", Sweep{Axes: []Axis{{Param: "txpower", Strings: []string{"x"}}}}, "needs numeric"},
+		// Integer axes refuse what apply would truncate or wrap, so no
+		// result row is labelled with a value that did not run.
+		{"negative seed", Sweep{Axes: []Axis{{Param: "seed", Values: []float64{1, -1}}}}, "whole numbers"},
+		{"fractional seed", Sweep{Axes: []Axis{{Param: "seed", Values: []float64{1.5}}}}, "whole numbers"},
+		{"seed past 2^53", Sweep{Axes: []Axis{{Param: "seed", Values: []float64{1<<53 + 2}}}}, "whole numbers"},
+		{"negative zero seed", Sweep{Axes: []Axis{{Param: "seed", Values: []float64{math.Copysign(0, -1)}}}}, "whole numbers"},
+		{"NaN seed", Sweep{Axes: []Axis{{Param: "seed", Values: []float64{math.NaN()}}}}, "whole numbers"},
+		{"fractional nodes", Sweep{Axes: []Axis{{Param: "nodes", Values: []float64{10.7}}}}, "whole numbers"},
+		{"infinite nodes", Sweep{Axes: []Axis{{Param: "nodes", Values: []float64{math.Inf(1)}}}}, "whole numbers"},
+		{"negative clusters", Sweep{Axes: []Axis{{Param: "clusters", Values: []float64{-3}}}}, "whole numbers"},
+		{"fractional tablesize", Sweep{Axes: []Axis{{Param: "tablesize", Values: []float64{7.9}}}}, "whole numbers"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			wantErr(t, c.sw.Validate(), c.frag)
 		})
+	}
+	// The integer bounds are inclusive, and other numeric axes keep their
+	// fractions.
+	ok := Sweep{Axes: []Axis{
+		{Param: "seed", Values: []float64{0, 1 << 53}},
+		{Param: "tablesize", Values: []float64{0, 7}},
+		{Param: "txpower", Values: []float64{-2.5}},
+	}}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("valid integer axes refused: %v", err)
 	}
 	// A bad protocol name is caught at cell expansion.
 	sw := tinySweep()

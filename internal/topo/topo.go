@@ -10,10 +10,8 @@
 package topo
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"fourbit/internal/sim"
@@ -80,13 +78,27 @@ func (t *Topology) clutter(i, j int) float64 {
 	if i > j {
 		i, j = j, i
 	}
-	h := fnv.New64a()
-	var buf [24]byte
-	binary.BigEndian.PutUint64(buf[0:], t.ClutterSeed)
-	binary.BigEndian.PutUint64(buf[8:], uint64(i))
-	binary.BigEndian.PutUint64(buf[16:], uint64(j))
-	h.Write(buf[:])
-	return t.ClutterDB * float64(h.Sum64()%10000) / 9999
+	return t.ClutterDB * float64(pairHash(t.ClutterSeed, uint64(i), uint64(j))%10000) / 9999
+}
+
+// FNV-1a's 64-bit offset basis and prime, as hash/fnv uses them.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// pairHash is the 64-bit FNV-1a hash of seed, i and j written big-endian,
+// 24 bytes in all: hash/fnv's New64a over those bytes, without its
+// per-call hasher and buffer.
+func pairHash(seed, i, j uint64) uint64 {
+	h := uint64(fnvOffset64)
+	for _, w := range [3]uint64{seed, i, j} {
+		for shift := 56; shift >= 0; shift -= 8 {
+			h ^= (w >> uint(shift)) & 0xff
+			h *= fnvPrime64
+		}
+	}
+	return h
 }
 
 // MarshalJSON / UnmarshalJSON round-trip the topology for the topogen CLI.

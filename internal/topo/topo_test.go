@@ -1,8 +1,11 @@
 package topo
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -210,5 +213,46 @@ func TestMirageDensitySupportsMultihop(t *testing.T) {
 	}
 	if far < reliableRange*1.2 {
 		t.Fatalf("network diameter %.1f m too small for multihop", far)
+	}
+}
+
+// fnvPairHash is the clutter hash over hash/fnv: New64a over seed, i and
+// j written big-endian. pairHash must match it bit for bit.
+func fnvPairHash(seed, i, j uint64) uint64 {
+	h := fnv.New64a()
+	var buf [24]byte
+	binary.BigEndian.PutUint64(buf[0:], seed)
+	binary.BigEndian.PutUint64(buf[8:], i)
+	binary.BigEndian.PutUint64(buf[16:], j)
+	h.Write(buf[:])
+	return h.Sum64()
+}
+
+// TestClutterMatchesFNV pins the inline FNV-1a against hash/fnv: at the
+// extreme seeds, on swapped pairs (clutter orders the pair first), and on
+// random triples over the whole uint64 range.
+func TestClutterMatchesFNV(t *testing.T) {
+	for _, seed := range []uint64{0, math.MaxUint64, 1, 0x4d697261} {
+		tp := &Topology{ClutterDB: 16, ClutterSeed: seed}
+		for _, p := range [][2]int{{0, 0}, {0, 1}, {1, 0}, {84, 3}, {3, 84}, {65535, 7}} {
+			i, j := p[0], p[1]
+			lo, hi := uint64(min(i, j)), uint64(max(i, j))
+			want := 16 * float64(fnvPairHash(seed, lo, hi)%10000) / 9999
+			if got := tp.clutter(i, j); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("seed %#x: clutter(%d, %d) = %v, want %v", seed, i, j, got, want)
+			}
+		}
+		for _, w := range []uint64{0, math.MaxUint64} {
+			if got, want := pairHash(seed, w, w), fnvPairHash(seed, w, w); got != want {
+				t.Errorf("pairHash(%#x, %#x, %#x) = %#x, want %#x", seed, w, w, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < 100000; k++ {
+		seed, i, j := rng.Uint64(), rng.Uint64(), rng.Uint64()
+		if got, want := pairHash(seed, i, j), fnvPairHash(seed, i, j); got != want {
+			t.Fatalf("pairHash(%#x, %#x, %#x) = %#x, want %#x", seed, i, j, got, want)
+		}
 	}
 }
