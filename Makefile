@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet tier1 bench-smoke bench-guard docs lint golden fuzz-smoke serve-soak clean
+.PHONY: all build test vet tier1 bench-smoke bench-guard docs lint golden fuzz-smoke fma-guard serve-soak clean
 
 all: build
 
@@ -65,6 +65,22 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 5s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzParseSweep -fuzztime 5s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzOverheardResolve -fuzztime 5s ./internal/phy
+
+# fma-guard fails if the compiler fuses a multiply-add in the packages it
+# lists. The Go spec lets arm64, ppc64le, s390x and riscv64 fuse x*y + z,
+# which rounds once instead of twice, so a fused site can move the
+# positions, path losses and draws the goldens pin; an explicit
+# float64(...) around the product blocks fusion and is a no-op on amd64.
+# -a defeats the build cache: a cached package prints no assembly, and the
+# guard would pass vacuously.
+FMA_PKGS = ./internal/topo ./internal/sim
+fma-guard:
+	@out=$$(GOARCH=arm64 $(GO) build -a -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$out" | tail -20; exit 1; }; \
+	echo "$$out" | grep -q ' STEXT ' || { echo "fma-guard: no assembly printed"; exit 1; }; \
+	if echo "$$out" | grep -E 'F(N)?M(ADD|SUB)[DS]'; then \
+		echo "fma-guard: fused multiply-add above; round the product with float64(...)"; exit 1; \
+	fi; \
+	echo "fma-guard: no fused ops in $(FMA_PKGS) on arm64"
 
 # serve-soak is the long-haul chaos run: 8 instances (2 per estimator
 # kind) under sustained randomized ingest with concurrent queriers, one

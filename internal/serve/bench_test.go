@@ -63,7 +63,7 @@ func benchFrame(b *testing.B, lines [][]byte) []byte {
 
 // BenchmarkServeDecodeEvent measures the per-line cost of the strict wire
 // decoder — the hot edge of every JSONL ingest request. Budgeted in
-// scripts/alloc_budget.txt: the fast path's scratch reuse must hold.
+// scripts/alloc_budget.txt: the decoder's scratch reuse must hold.
 func BenchmarkServeDecodeEvent(b *testing.B) {
 	lines := benchLines(1024)
 	var dec wire.EventDecoder

@@ -16,8 +16,9 @@ import (
 // taps that node's exact estimator event stream out of a run; replaying the
 // file into a served instance of the same kind, seed, and config reproduces
 // the node's table — the bridge from scenario to service. The lines are the
-// canonical wire.AppendJSONLEvent grammar, so they take the decoder's fast
-// path and convert losslessly to the binary batch format (feedconv).
+// canonical wire.AppendJSONLEvent grammar, so the strict decoder accepts
+// every one and they convert losslessly to the binary batch format
+// (feedconv).
 //
 // The recorder changes nothing the inner estimator sees, so the run itself
 // stays bit-identical. Write errors are sticky and surfaced by Err; the

@@ -107,6 +107,20 @@ func TestDecodeEventTyped(t *testing.T) {
 		{"tx missing dest", `{"ev":"tx","at":5,"acked":true}`, wire.ErrEventField},
 		{"rx lqi range", `{"ev":"rx","at":5,"src":3,"lqi":-1}`, wire.ErrEventField},
 		{"age zero silence", `{"ev":"age","at":5,"silence":0}`, wire.ErrEventField},
+		{"misspelled key", `{"ev":"rx","at":5,"src":3,"lqi":80,"whte":true}`, wire.ErrEventField},
+		{"case-variant key", `{"ev":"rx","at":5,"src":3,"lqi":80,"WHITE":true}`, wire.ErrEventField},
+		{"duplicate key", `{"ev":"rx","at":5,"src":3,"lqi":80,"white":true,"white":false}`, wire.ErrEventField},
+		{"case-variant kind key", `{"EV":"beacon","at":1,"src":2,"seq":3,"lqi":4}`, wire.ErrEventField},
+		{"rx null src", `{"ev":"rx","at":5,"src":null,"lqi":80}`, wire.ErrEventSyntax},
+		{"rx null lqi", `{"ev":"rx","at":5,"src":3,"lqi":null}`, wire.ErrEventSyntax},
+		{"tx carries src", `{"ev":"tx","at":5,"dest":3,"acked":true,"src":7}`, wire.ErrEventField},
+		{"age carries links", `{"ev":"age","at":5,"silence":1000,"links":[{"addr":1,"q":2}]}`, wire.ErrEventField},
+		{"escaped key", `{"\u0065v":"age","at":5,"silence":1000}`, wire.ErrEventSyntax},
+		{"extra key in link entry", `{"ev":"beacon","at":1,"src":2,"seq":3,"lqi":4,"links":[{"addr":1,"q":9,"rssi":3}]}`, wire.ErrEventField},
+		{"beacon spaced", " {\t\"ev\" :\t\"beacon\" , \"at\" : 1 ,\"src\":\t2, \"seq\" : 3 , \"lqi\" : 4 , \"white\" : true , \"snr\" : -1.5 , \"links\" : [ { \"addr\" : 1 , \"q\" : 9 } , {\t\"q\":8,\"addr\":0 } ] }\t", nil},
+		{"tx spaced", "\t{ \"ev\" : \"tx\" ,\t\"at\" : 5 , \"dest\" : 3 , \"acked\" : false } ", nil},
+		{"rx spaced", " { \"ev\" : \"rx\" , \"at\" : 5 , \"src\" : 3 , \"lqi\" : 80 , \"white\" : false , \"snr\" : 0 }\r", nil},
+		{"age spaced", "{\t\"ev\"\t:\t\"age\"\t,\t\"at\"\t:\t5\t,\t\"silence\"\t:\t1000\t}", nil},
 	}
 	var dec wire.EventDecoder
 	var ev wire.Event
@@ -121,6 +135,9 @@ func TestDecodeEventTyped(t *testing.T) {
 			}
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("Decode(%s) = %v, want %v", tc.line, err, tc.want)
+			}
+			if strings.Contains(err.Error(), "-1") && !strings.Contains(tc.line, "-1") {
+				t.Fatalf("Decode(%s) = %v: the error names a value the line does not hold", tc.line, err)
 			}
 		})
 	}

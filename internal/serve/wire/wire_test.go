@@ -251,23 +251,16 @@ func TestWireDecodeBatchZeroAlloc(t *testing.T) {
 }
 
 func TestAppendJSONLEventMatchesDecoders(t *testing.T) {
-	// Every encodable event must round-trip through its JSONL line, via
-	// both decode paths, and the line must be on the fast path's grammar.
+	// Every encodable event must round-trip through its JSONL line.
 	for _, ev := range append(sampleEvents(), Event{Ev: EvPoison, At: 7}) {
 		line := AppendJSONLEvent(nil, &ev)
-		for _, noFast := range []bool{false, true} {
-			dec := EventDecoder{AllowPoison: true, noFastPath: noFast}
-			var got Event
-			if err := dec.Decode(line, &got); err != nil {
-				t.Fatalf("%s (noFastPath=%v): %v", line, noFast, err)
-			}
-			if !sameEvent(&ev, &got) {
-				t.Errorf("%s (noFastPath=%v): got %+v want %+v", line, noFast, got, ev)
-			}
+		dec := EventDecoder{AllowPoison: true}
+		var got Event
+		if err := dec.Decode(line, &got); err != nil {
+			t.Fatalf("%s: %v", line, err)
 		}
-		fastDec := EventDecoder{AllowPoison: true}
-		if !fastDec.fastDecode(line) {
-			t.Errorf("canonical line not on the fast path: %s", line)
+		if !sameEvent(&ev, &got) {
+			t.Errorf("%s: got %+v want %+v", line, got, ev)
 		}
 	}
 }

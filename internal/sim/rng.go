@@ -176,7 +176,7 @@ func (r *Rand) Bernoulli(p float64) bool {
 
 // Uniform returns a sample from U[lo, hi).
 func (r *Rand) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64()) // rounded: no fused multiply-add
 }
 
 // UniformTime returns a Time sampled from U[lo, hi).
@@ -189,7 +189,7 @@ func (r *Rand) UniformTime(lo, hi Time) Time {
 
 // Normal returns a sample from N(mean, sigma^2).
 func (r *Rand) Normal(mean, sigma float64) float64 {
-	return mean + sigma*r.NormFloat64()
+	return mean + float64(sigma*r.NormFloat64()) // rounded: no fused multiply-add
 }
 
 // Exp returns an exponentially distributed sample with the given mean.

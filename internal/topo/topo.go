@@ -10,7 +10,6 @@
 package topo
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -48,7 +47,9 @@ func (t *Topology) N() int { return len(t.Positions) }
 func (t *Topology) Distance(i, j int) float64 {
 	a, b := t.Positions[i], t.Positions[j]
 	dz := float64(a.Floor-b.Floor) * t.FloorHeightM
-	return math.Sqrt((a.X-b.X)*(a.X-b.X) + (a.Y-b.Y)*(a.Y-b.Y) + dz*dz)
+	// Each product is rounded explicitly so no architecture fuses it into a
+	// multiply-add: the distance feeds every path loss, so every golden.
+	return math.Sqrt(float64((a.X-b.X)*(a.X-b.X)) + float64((a.Y-b.Y)*(a.Y-b.Y)) + float64(dz*dz))
 }
 
 // Coord returns node i's position in meters, with the vertical coordinate
@@ -67,7 +68,7 @@ func (t *Topology) ExtraLossDB(i, j int) float64 {
 	if floors < 0 {
 		floors = -floors
 	}
-	return float64(floors)*t.FloorLossDB + t.clutter(i, j)
+	return float64(float64(floors)*t.FloorLossDB) + t.clutter(i, j)
 }
 
 // clutter returns the pair's deterministic obstruction loss in [0, ClutterDB].
@@ -99,18 +100,6 @@ func pairHash(seed, i, j uint64) uint64 {
 		}
 	}
 	return h
-}
-
-// MarshalJSON / UnmarshalJSON round-trip the topology for the topogen CLI.
-func (t *Topology) MarshalJSON() ([]byte, error) {
-	type wire Topology
-	return json.Marshal((*wire)(t))
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (t *Topology) UnmarshalJSON(data []byte) error {
-	type wire Topology
-	return json.Unmarshal(data, (*wire)(t))
 }
 
 // Line places n nodes on a line with the given spacing; node 0 is the root.
@@ -149,7 +138,7 @@ func UniformRandom(n int, w, h float64, seed uint64) *Topology {
 func (t *Topology) closestTo(x, y float64) int {
 	best, bestD := 0, math.Inf(1)
 	for i, p := range t.Positions {
-		d := (p.X-x)*(p.X-x) + (p.Y-y)*(p.Y-y) + float64(p.Floor*p.Floor)*1e6
+		d := float64((p.X-x)*(p.X-x)) + float64((p.Y-y)*(p.Y-y)) + float64(float64(p.Floor*p.Floor)*1e6)
 		if d < bestD {
 			best, bestD = i, d
 		}
@@ -171,8 +160,8 @@ func Mirage(seed uint64) *Topology {
 	const baysX, baysY = 8, 4
 	for i := 1; i < n; i++ {
 		bay := (i - 1) % (baysX * baysY)
-		bx := 5 + float64(bay%baysX)*5.6
-		by := 4.5 + float64(bay/baysX)*6.4
+		bx := 5 + float64(float64(bay%baysX)*5.6)
+		by := 4.5 + float64(float64(bay/baysX)*6.4)
 		t.Positions = append(t.Positions, Point{
 			X: clamp(bx+rng.Normal(0, 1.6), 0, 48),
 			Y: clamp(by+rng.Normal(0, 1.6), 0, 28),
@@ -204,8 +193,8 @@ func TutorNet(seed uint64) *Topology {
 			floor = 1
 		}
 		bay := (i - 1) % (baysX * baysY)
-		bx := 4 + float64(bay%baysX)*5.5
-		by := 4 + float64(bay/baysX)*7.5
+		bx := 4 + float64(float64(bay%baysX)*5.5)
+		by := 4 + float64(float64(bay/baysX)*7.5)
 		t.Positions = append(t.Positions, Point{
 			X:     clamp(bx+rng.Normal(0, 2.0), 0, 42),
 			Y:     clamp(by+rng.Normal(0, 2.0), 0, 24),

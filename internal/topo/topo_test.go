@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -176,6 +177,10 @@ func TestJSONRoundTrip(t *testing.T) {
 	data, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// encoding/json's own field names are the format cmd/topogen writes.
+	if want := `{"Name":"tutornet-94","Positions":[{"X":2,"Y":2,"Floor":0},`; !strings.HasPrefix(string(data), want) {
+		t.Fatalf("JSON = %.60s..., want prefix %s", data, want)
 	}
 	var got Topology
 	if err := json.Unmarshal(data, &got); err != nil {
