@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet tier1 bench-smoke bench-guard docs lint golden fuzz-smoke fma-guard serve-soak clean
+.PHONY: all build test vet tier1 bench-smoke bench-guard docs lint golden fuzz-smoke fma-guard golden-nofma serve-soak clean
 
 all: build
 
@@ -73,7 +73,7 @@ fuzz-smoke:
 # float64(...) around the product blocks fusion and is a no-op on amd64.
 # -a defeats the build cache: a cached package prints no assembly, and the
 # guard would pass vacuously.
-FMA_PKGS = ./internal/topo ./internal/sim
+FMA_PKGS = ./internal/topo ./internal/sim ./internal/core ./internal/ctp
 fma-guard:
 	@out=$$(GOARCH=arm64 $(GO) build -a -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$out" | tail -20; exit 1; }; \
 	echo "$$out" | grep -q ' STEXT ' || { echo "fma-guard: no assembly printed"; exit 1; }; \
@@ -81,6 +81,15 @@ fma-guard:
 		echo "fma-guard: fused multiply-add above; round the product with float64(...)"; exit 1; \
 	fi; \
 	echo "fma-guard: no fused ops in $(FMA_PKGS) on arm64"
+
+# golden-nofma re-runs the golden tests with the CPU's FMA unit switched off
+# for the Go runtime: math.Exp on amd64 uses FMA only when the CPU has it,
+# so a golden that depends on an exp rounded one way fails here. -count=1
+# keeps a cached pass from standing in, as -a does for fma-guard.
+golden-nofma:
+	GODEBUG=cpu.fma=off $(GO) test -count=1 \
+		-run '^(TestGoldenRunFingerprints|TestGoldenTimelineFigure|TestSnapshotGoldens)$$' \
+		./internal/experiment ./internal/scenario ./internal/core
 
 # serve-soak is the long-haul chaos run: 8 instances (2 per estimator
 # kind) under sustained randomized ingest with concurrent queriers, one

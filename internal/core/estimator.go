@@ -177,7 +177,7 @@ func (est *Estimator) completeBeaconWindow(e *Entry) {
 		e.prrEwma = sample
 	} else {
 		a := est.prrAlpha
-		e.prrEwma = a*e.prrEwma + (1-a)*sample
+		e.prrEwma = float64(a*e.prrEwma) + float64((1-a)*sample)
 	}
 	est.Stats.BeaconWindows++
 

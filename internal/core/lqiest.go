@@ -142,7 +142,7 @@ func (est *LQIEstimator) fold(e *Entry, lqi uint8) {
 		e.prrEwma = sample
 	} else {
 		a := est.cfg.PRRAlpha
-		e.prrEwma = a*e.prrEwma + (1-a)*sample
+		e.prrEwma = float64(a*e.prrEwma) + float64((1-a)*sample)
 	}
 	e.windows++
 	est.stats.BeaconWindows++

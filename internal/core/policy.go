@@ -250,7 +250,7 @@ func buildBeacon(le *packet.LEFrame, t *Table, seq uint16, footerIdx *int, foote
 		}
 		le.Entries = append(le.Entries, packet.LinkEntry{
 			Addr:      e.Addr,
-			InQuality: uint8(e.prrEwma*255 + 0.5),
+			InQuality: uint8(float64(e.prrEwma*255) + 0.5),
 		})
 	}
 	if n > 0 {
@@ -281,5 +281,5 @@ func foldETX(e *Entry, sample, alpha, maxETX float64) {
 		e.etx = sample
 		return
 	}
-	e.etx = alpha*e.etx + (1-alpha)*sample
+	e.etx = float64(alpha*e.etx) + float64((1-alpha)*sample)
 }

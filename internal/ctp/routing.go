@@ -208,7 +208,7 @@ func (n *Node) costFixed() uint16 {
 	if n.cost == noCost {
 		return invalidETX
 	}
-	v := n.cost * 10
+	v := float64(n.cost * 10)
 	if v >= invalidETX {
 		return invalidETX
 	}

@@ -5,6 +5,13 @@
 // costs an append, not a syscall) and flush as one POST per batch; a 429
 // response consumes its Retry-After hint and resends exactly the suffix
 // the server did not admit, so no event is ever duplicated or lost.
+//
+// Every response is read to its end before its body is closed — success,
+// backpressure and refusal alike — so one http.Client keeps one keep-alive
+// connection per server for a whole session: instance set-up, flushes and
+// 429 retry rounds share it instead of dialling anew. CreateInstance also
+// reads its 201 body and checks that the server echoes the requested name,
+// kind and address.
 package client
 
 import (
@@ -175,9 +182,9 @@ func (f *Feed) post() (int, *ingestReport, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	rep := &ingestReport{}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(rep); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBody)).Decode(rep); err != nil {
 		return 0, nil, fmt.Errorf("client: bad ingest response: %w", err)
 	}
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
@@ -225,7 +232,9 @@ type ingestReport struct {
 }
 
 // CreateInstance creates an estimator instance on the server, the usual
-// prologue to a feed. A nil config selects the paper's defaults.
+// prologue to a feed. A nil config selects the paper's defaults, and an
+// empty kind the server's default, KindFourBit. The server's 201 body must
+// echo the requested name, kind and address; anything else is an error.
 func CreateInstance(c *http.Client, baseURL, name string, kind core.EstimatorKind,
 	self packet.Addr, seed uint64, cfg *core.Config) error {
 	if c == nil {
@@ -241,10 +250,37 @@ func CreateInstance(c *http.Client, baseURL, name string, kind core.EstimatorKin
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusCreated {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
 		return fmt.Errorf("client: create instance %q: status %d: %s", name, resp.StatusCode, msg)
 	}
+	var got struct {
+		Name string             `json:"name"`
+		Kind core.EstimatorKind `json:"kind"`
+		Self packet.Addr        `json:"self"`
+	}
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBody)).Decode(&got); err != nil {
+		return fmt.Errorf("client: create instance %q: bad response: %w", name, err)
+	}
+	if kind == "" {
+		kind = core.KindFourBit
+	}
+	if got.Name != name || got.Kind != kind || got.Self != self {
+		return fmt.Errorf("client: create instance %q: server created %q (kind %q, self %d), want kind %q, self %d",
+			name, got.Name, got.Kind, got.Self, kind, self)
+	}
 	return nil
+}
+
+// maxBody bounds how much of one response the client reads.
+const maxBody = 1 << 16
+
+// drainClose reads a response body to its end, at most maxBody bytes, and
+// closes it. net/http returns a connection to its idle pool only once the
+// body has reached EOF; a body closed early costs the next request a new
+// connection.
+func drainClose(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, maxBody))
+	body.Close()
 }

@@ -3,8 +3,13 @@ package client_test
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -224,5 +229,190 @@ func TestFeedQuarantineSurfacesRejection(t *testing.T) {
 			t.Fatal("instance never quarantined")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// connCounter wraps a service in an httptest server that counts the
+// connections it accepts.
+func connCounter(t testing.TB, h http.Handler) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(h)
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	return ts, &conns
+}
+
+// oneConn returns an HTTP client held to one connection per host.
+func oneConn() *http.Client {
+	return &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1}}
+}
+
+// call issues a bodiless request and reads the response to its end.
+func call(t *testing.T, c *http.Client, method, url string) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s %s: status %d", method, url, resp.StatusCode)
+	}
+}
+
+// TestClientKeepsOneConnection pins connection reuse: one client held to
+// one connection runs a whole session — creates, a refused create, full
+// flushes, flushes absorbing backpressure and a flush refused by a
+// quarantined instance — over exactly one server connection. A response
+// body closed before its end would cost the next request a new dial.
+func TestClientKeepsOneConnection(t *testing.T) {
+	ts, conns := connCounter(t, serve.NewServer(serve.Options{
+		QueueDepth: 64, RetryAfter: time.Millisecond, AllowPoison: true,
+	}))
+	c := oneConn()
+	defer c.CloseIdleConnections()
+
+	for i := 0; i < 20; i++ {
+		if err := client.CreateInstance(c, ts.URL, fmt.Sprintf("n%d", i), core.KindFourBit,
+			packet.Addr(i+1), uint64(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := client.CreateInstance(c, ts.URL, "n0", core.KindFourBit, 1, 0, nil); err == nil {
+		t.Fatal("duplicate create succeeded")
+	}
+
+	// Full batches, each applied before the next so none meets backpressure.
+	evs := testEvents(96)
+	full := client.New(ts.URL, "n1", client.Options{BatchEvents: 32, HTTPClient: c})
+	for i := range evs {
+		if err := full.Send(&evs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if full.Buffered() == 0 {
+			call(t, c, http.MethodGet, ts.URL+"/v1/instances/n1/table")
+		}
+	}
+	if got := full.Stats().Flushes; got != 3 {
+		t.Fatalf("%d flushes, want 3", got)
+	}
+
+	// A paused instance fills its queue: the flush absorbs 429 rounds until
+	// its budget runs out, and flushes after the resume drain the rest.
+	call(t, c, http.MethodPost, ts.URL+"/v1/instances/n2/pause")
+	bp := client.New(ts.URL, "n2", client.Options{
+		BatchEvents: 128, Retries: 3, RetryCap: time.Millisecond, HTTPClient: c,
+	})
+	for i := range evs {
+		if err := bp.Send(&evs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bp.Flush(); !errors.Is(err, client.ErrRetryBudget) {
+		t.Fatalf("flush against a paused full queue: err = %v, want ErrRetryBudget", err)
+	}
+	if got := bp.Stats().Retries; got != 2 {
+		t.Fatalf("%d backpressure rounds absorbed, want 2", got)
+	}
+	call(t, c, http.MethodPost, ts.URL+"/v1/instances/n2/resume")
+	for bp.Buffered() > 0 {
+		if err := bp.Flush(); err != nil && !errors.Is(err, client.ErrRetryBudget) {
+			t.Fatal(err)
+		}
+	}
+
+	// Poison quarantines the instance (the table query waits for it); the
+	// next flush is refused with 409.
+	q := client.New(ts.URL, "n3", client.Options{AllowPoison: true, HTTPClient: c})
+	if err := q.Send(&wire.Event{Ev: wire.EvPoison, At: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	call(t, c, http.MethodGet, ts.URL+"/v1/instances/n3/table")
+	if err := q.Send(&wire.Event{Ev: wire.EvAge, At: 2, Silence: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Flush(); !errors.Is(err, client.ErrRejected) {
+		t.Fatalf("flush into a quarantined instance: err = %v, want ErrRejected", err)
+	}
+
+	if got := conns.Load(); got != 1 {
+		t.Fatalf("the session opened %d connections, want 1", got)
+	}
+}
+
+// TestRefusalsKeepConnection answers every request with a proxy's 8 KiB
+// HTML 502, longer than the client reads to decode or report it: creates
+// and flushes must still fail cleanly and share one connection.
+func TestRefusalsKeepConnection(t *testing.T) {
+	page := "<html>" + strings.Repeat("bad gateway ", 700) + "</html>"
+	ts, conns := connCounter(t, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/html")
+		w.WriteHeader(http.StatusBadGateway)
+		io.WriteString(w, page)
+	}))
+	c := oneConn()
+	defer c.CloseIdleConnections()
+	feed := client.New(ts.URL, "n", client.Options{HTTPClient: c})
+	evs := testEvents(3)
+	for i := 0; i < 3; i++ {
+		if err := client.CreateInstance(c, ts.URL, "n", "", 1, 1, nil); err == nil {
+			t.Fatal("create through a 502 succeeded")
+		}
+		if err := feed.Send(&evs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := feed.Flush(); err == nil {
+			t.Fatal("flush through a 502 succeeded")
+		}
+	}
+	if got := conns.Load(); got != 1 {
+		t.Fatalf("refused requests opened %d connections, want 1", got)
+	}
+}
+
+// TestCreateInstanceChecksEcho refuses a 201 whose body does not echo the
+// request, or is not JSON at all.
+func TestCreateInstanceChecksEcho(t *testing.T) {
+	for _, tc := range []struct{ name, body string }{
+		{"name", `{"name":"other","kind":"4bit","self":7}`},
+		{"kind", `{"name":"n","kind":"pdr","self":7}`},
+		{"self", `{"name":"n","kind":"4bit","self":8}`},
+		{"empty", `{}`},
+		{"html", `<html>created</html>`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				w.WriteHeader(http.StatusCreated)
+				io.WriteString(w, tc.body)
+			}))
+			defer ts.Close()
+			if err := client.CreateInstance(nil, ts.URL, "n", "", 7, 1, nil); err == nil {
+				t.Fatalf("create accepted the 201 body %s", tc.body)
+			}
+		})
+	}
+	// The echo of an honest server passes, the default kind included.
+	_, ts := newTestServer(t, serve.Options{})
+	if err := client.CreateInstance(nil, ts.URL, "n", "", 7, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.CreateInstance(nil, ts.URL, "w", core.KindWMEWMA, 7, 1, nil); err != nil {
+		t.Fatal(err)
 	}
 }
