@@ -52,8 +52,9 @@ golden:
 # fuzz-smoke runs each native fuzz target briefly against the saved seed
 # corpus plus a few seconds of new inputs — a tripwire for decoder and
 # parser regressions (panics, untyped errors, scratch aliasing, specs that
-# do not survive a JSON round trip) and for an overheard reception whose
-# bound-only decision leaves the exact path, not a deep campaign. Longer runs:
+# do not survive a JSON round trip), for an overheard reception whose
+# bound-only decision leaves the exact path and for a seed whose owned
+# random source leaves math/rand's sequence — not a deep campaign. Longer runs:
 # go test -fuzz FuzzDecodeEvent ./internal/serve/wire
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/packet
@@ -65,6 +66,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 5s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzParseSweep -fuzztime 5s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzOverheardResolve -fuzztime 5s ./internal/phy
+	$(GO) test -run '^$$' -fuzz FuzzStreamSeed -fuzztime 5s ./internal/sim
 
 # fma-guard fails if the compiler fuses a multiply-add in the packages it
 # lists. The Go spec lets arm64, ppc64le, s390x and riscv64 fuse x*y + z,
@@ -73,7 +75,7 @@ fuzz-smoke:
 # float64(...) around the product blocks fusion and is a no-op on amd64.
 # -a defeats the build cache: a cached package prints no assembly, and the
 # guard would pass vacuously.
-FMA_PKGS = ./internal/topo ./internal/sim ./internal/core ./internal/ctp
+FMA_PKGS = ./internal/topo ./internal/sim ./internal/core ./internal/ctp ./internal/metrics ./internal/scenario
 fma-guard:
 	@out=$$(GOARCH=arm64 $(GO) build -a -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$out" | tail -20; exit 1; }; \
 	echo "$$out" | grep -q ' STEXT ' || { echo "fma-guard: no assembly printed"; exit 1; }; \

@@ -27,7 +27,7 @@ func (s *Summary) Add(v float64) {
 	}
 	s.n++
 	s.sum += v
-	s.sumSq += v * v
+	s.sumSq += float64(v * v)
 }
 
 // N returns the number of observations.
@@ -47,7 +47,7 @@ func (s *Summary) Std() float64 {
 		return 0
 	}
 	m := s.Mean()
-	v := s.sumSq/float64(s.n) - m*m
+	v := s.sumSq/float64(s.n) - float64(m*m)
 	if v < 0 {
 		v = 0
 	}
@@ -74,13 +74,13 @@ func Quantile(values []float64, q float64) float64 {
 	if q >= 1 {
 		return sorted[len(sorted)-1]
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := float64(q * float64(len(sorted)-1))
 	lo := int(pos)
 	frac := pos - float64(lo)
 	if lo+1 >= len(sorted) {
 		return sorted[lo]
 	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[lo+1]*frac)
 }
 
 // Boxplot is the five-number summary used for Figure 8.

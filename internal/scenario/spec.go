@@ -423,14 +423,14 @@ func extraSinks(tp *topo.Topology, count int) []int {
 	taken := map[int]bool{tp.Root: true}
 	var out []int
 	for k := 0; k < count && k < len(sinkAnchors); k++ {
-		ax := minX + sinkAnchors[k][0]*(maxX-minX)
-		ay := minY + sinkAnchors[k][1]*(maxY-minY)
+		ax := minX + float64(sinkAnchors[k][0]*(maxX-minX))
+		ay := minY + float64(sinkAnchors[k][1]*(maxY-minY))
 		best, bestD := -1, math.Inf(1)
 		for i, p := range tp.Positions {
 			if taken[i] {
 				continue
 			}
-			d := (p.X-ax)*(p.X-ax) + (p.Y-ay)*(p.Y-ay)
+			d := float64((p.X-ax)*(p.X-ax)) + float64((p.Y-ay)*(p.Y-ay))
 			if d < bestD {
 				best, bestD = i, d
 			}

@@ -212,23 +212,14 @@ func TestFeedQuarantineSurfacesRejection(t *testing.T) {
 	if err := feed.Flush(); err != nil {
 		t.Fatal(err) // the poison batch itself is admitted, then kills the worker
 	}
-	// Wait for quarantine to land, then expect 409 → ErrRejected.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if err := feed.Send(&wire.Event{Ev: wire.EvAge, At: 2, Silence: 1}); err != nil {
-			t.Fatal(err)
-		}
-		err := feed.Flush()
-		if errors.Is(err, client.ErrRejected) {
-			return
-		}
-		if err != nil {
-			t.Fatalf("err = %v, want ErrRejected", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("instance never quarantined")
-		}
-		time.Sleep(time.Millisecond)
+	// The table query's barrier returns once the instance is quarantined;
+	// the next flush is then refused with 409 → ErrRejected.
+	call(t, ts.Client(), http.MethodGet, ts.URL+"/v1/instances/q/table")
+	if err := feed.Send(&wire.Event{Ev: wire.EvAge, At: 2, Silence: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := feed.Flush(); !errors.Is(err, client.ErrRejected) {
+		t.Fatalf("flush into a quarantined instance: err = %v, want ErrRejected", err)
 	}
 }
 

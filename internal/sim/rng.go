@@ -50,11 +50,12 @@ func splitmix64(x uint64) uint64 {
 // Light returns the named lightweight stream, creating it on first use.
 // Seed derivation matches Stream (fnv64a of the name xor master, finalized
 // by SplitMix64), but the generator is a SplitMix64 sequence instead of the
-// stdlib source: 8 bytes of state versus ~5 KB. The sharded medium hands
-// every node three private streams (reception, fade, noise) so that shards
-// never contend on a shared generator — at 10k nodes the stdlib source
-// would cost ~150 MB where SplitMix64 costs ~2 MB. Light and Stream names
-// live in separate namespaces; reusing a name across them is fine.
+// lagged-Fibonacci source: 8 bytes of state versus ~5 KB. The sharded
+// medium hands every node three private streams (reception, fade, noise)
+// so that shards never contend on a shared generator — at 10k nodes the
+// lagged-Fibonacci source would cost ~150 MB where SplitMix64 costs ~2 MB.
+// Light and Stream names live in separate namespaces; reusing a name
+// across them is fine.
 func (ss *SeedSpace) Light(name string) *Rand {
 	if ss.lights == nil {
 		ss.lights = make(map[string]*Rand)
@@ -85,34 +86,62 @@ func (s *lightSource) Int63() int64 {
 func (s *lightSource) Seed(seed int64) { s.state = uint64(seed) }
 
 // NewLightRand returns a stream backed by an 8-byte SplitMix64 source
-// instead of the stdlib's ~5 KB lagged-Fibonacci state. Statistically
-// SplitMix64 passes BigCrush; the trade is a shorter period (2^64), which
-// is far beyond any simulated run. Use for large per-node stream families.
+// instead of the ~5 KB lagged-Fibonacci state. Statistically SplitMix64
+// passes BigCrush; the trade is a shorter period (2^64), which is far
+// beyond any simulated run. Use for large per-node stream families.
 func NewLightRand(seed uint64) *Rand {
-	return &Rand{Rand: rand.New(&lightSource{state: seed})}
+	s := &lightStream{src: lightSource{state: seed}}
+	s.r = *rand.New(&s.src)
+	s.Rand.Rand = &s.r
+	return &s.Rand
 }
 
 // Rand is a deterministic random stream with the distributions the
-// simulator's models need. It wraps math/rand.Rand (stdlib) seeded through
-// SplitMix64.
+// simulator's models need. It wraps math/rand.Rand, so every distribution
+// is math/rand's own code, over a source seeded through SplitMix64.
 type Rand struct {
 	*rand.Rand
 	counted *countingSource // nil for ordinary (un-snapshotable) streams
 }
 
-// NewRand returns a stream seeded with seed.
+// The stream types hold a Rand, the rand.Rand it points to and that
+// rand.Rand's source by value, so building a stream is one allocation.
+type (
+	stream struct {
+		Rand
+		r   rand.Rand
+		src lfSource
+	}
+	countedStream struct {
+		Rand
+		r   rand.Rand
+		src countingSource
+	}
+	lightStream struct {
+		Rand
+		r   rand.Rand
+		src lightSource
+	}
+)
+
+// NewRand returns a stream seeded with seed: math/rand's sequence for the
+// seed splitmix64(seed).
 func NewRand(seed uint64) *Rand {
-	return &Rand{Rand: rand.New(rand.NewSource(int64(splitmix64(seed))))}
+	s := new(stream)
+	s.src.Seed(int64(splitmix64(seed)))
+	s.r = *rand.New(&s.src)
+	s.Rand.Rand = &s.r
+	return &s.Rand
 }
 
-// countingSource wraps the stdlib source and counts state-advancing draws,
-// so a counted Rand's position in its stream is (seed, draws) — the whole
-// state the estimator snapshot/restore path needs. It deliberately does NOT
-// implement rand.Source64: math/rand then derives Uint64 from two Int63
-// calls, so every state transition funnels through Int63 and one counter
-// fully determines the stream position.
+// countingSource wraps the lagged-Fibonacci source and counts
+// state-advancing draws, so a counted Rand's position in its stream is
+// (seed, draws) — the whole state the estimator snapshot/restore path
+// needs. It deliberately does NOT implement rand.Source64: math/rand then
+// derives Uint64 from two Int63 calls, so every state transition funnels
+// through Int63 and one counter fully determines the stream position.
 type countingSource struct {
-	src   rand.Source
+	src   lfSource
 	seed  uint64
 	draws uint64
 }
@@ -135,8 +164,12 @@ func (s *countingSource) Seed(seed int64) {
 // are built over counted streams; simulation streams stay uncounted and pay
 // nothing.
 func NewCountedRand(seed uint64) *Rand {
-	cs := &countingSource{src: rand.NewSource(int64(splitmix64(seed))), seed: seed}
-	return &Rand{Rand: rand.New(cs), counted: cs}
+	s := new(countedStream)
+	s.src.seed = seed
+	s.src.src.Seed(int64(splitmix64(seed)))
+	s.r = *rand.New(&s.src)
+	s.Rand = Rand{Rand: &s.r, counted: &s.src}
+	return &s.Rand
 }
 
 // RestoreCountedRand returns a counted stream fast-forwarded to the given
@@ -147,7 +180,7 @@ func NewCountedRand(seed uint64) *Rand {
 func RestoreCountedRand(seed uint64, draws uint64) *Rand {
 	r := NewCountedRand(seed)
 	for i := uint64(0); i < draws; i++ {
-		r.counted.src.Int63()
+		r.counted.src.Uint64()
 	}
 	r.counted.draws = draws
 	return r
