@@ -75,7 +75,7 @@ fuzz-smoke:
 # float64(...) around the product blocks fusion and is a no-op on amd64.
 # -a defeats the build cache: a cached package prints no assembly, and the
 # guard would pass vacuously.
-FMA_PKGS = ./internal/topo ./internal/sim ./internal/core ./internal/ctp ./internal/metrics ./internal/scenario
+FMA_PKGS = ./internal/topo ./internal/sim ./internal/core ./internal/ctp ./internal/metrics ./internal/scenario ./internal/experiment
 fma-guard:
 	@out=$$(GOARCH=arm64 $(GO) build -a -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$out" | tail -20; exit 1; }; \
 	echo "$$out" | grep -q ' STEXT ' || { echo "fma-guard: no assembly printed"; exit 1; }; \

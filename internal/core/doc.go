@@ -27,11 +27,12 @@
 // registered kinds (EstimatorKinds) — a Woo-style beacon-only WMEWMA, a
 // windowed-mean PDR estimator, and a pure-LQI moving average — so the
 // paper's comparative claims can be tested with the estimator, not the
-// router, as the experimental variable. The three beacon-counting kinds
-// are one type, Estimator: its kind decides the beacon window, which
-// feature bits it honours, and the publish step (see Estimator.derive).
-// The LQI kind is LQIEstimator, a separate algorithm. Every kind admits
-// through the one policy in policy.go (admit), which takes the
-// white/compare step only for a kind that honours it. See linkestimator.go
-// for the contract and policy.go for the mechanics the kinds share.
+// router, as the experimental variable. Every kind is one type, Estimator:
+// its kind decides the sample source (beacon windows, or the LQI of every
+// frame heard), the beacon window, which feature bits it honours, and the
+// publish step (see Estimator.derive). Every kind admits through the one
+// policy in policy.go (Estimator.admit), which takes the white/compare
+// step only for a kind that honours it. See linkestimator.go for the
+// contract, policy.go for the table mechanics, and lqiest.go for what
+// only the lqi kind does.
 package core

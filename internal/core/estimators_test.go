@@ -109,7 +109,9 @@ func TestPDRWorkedExample(t *testing.T) {
 }
 
 func TestLQIWorkedExample(t *testing.T) {
-	est := NewLQIEstimator(self, DefaultConfig(), sim.NewRand(1))
+	// DefaultConfig carries FooterEntries 8 and FourBit() features; the
+	// lqi kind must honour neither.
+	est := newEstimator(KindLQI, self, DefaultConfig(), nil, sim.NewRand(1))
 
 	// First beacon at saturated LQI 110: mean 110 → cost AdjustLQI(110)
 	// normalized to 1.0. The estimate exists immediately (no window).
@@ -139,10 +141,35 @@ func TestLQIWorkedExample(t *testing.T) {
 	if est.Table().Find(99) != nil {
 		t.Fatal("overheard frame admitted an unknown sender")
 	}
+
+	// On a populated table — beacons with sequence gaps and a footer that
+	// names us, acked and failed unicasts — the envelope still carries no
+	// footer, its cursor stays put, and no entry keeps sequence, footer or
+	// unicast state.
+	for src := packet.Addr(8); src < 12; src++ {
+		kindBeacon(t, est, src, 1, 200, 100)
+		kindBeacon(t, est, src, 4, 200, 90)
+		est.TxResult(src, true)
+		est.TxResult(src, false)
+	}
+	for i := 0; i < 3; i++ {
+		if le := est.MakeBeacon(nil); len(le.Entries) != 0 || le.Seq != uint16(i+1) {
+			t.Fatalf("beacon %d: seq %d with %d footer entries, want seq %d and none", i, le.Seq, len(le.Entries), i+1)
+		}
+	}
+	if est.footerIdx != 0 {
+		t.Fatalf("footer cursor moved to %d", est.footerIdx)
+	}
+	for _, e := range est.Table().Entries() {
+		if e.seqInit || e.lastSeq != 0 || e.rcvd != 0 || e.missed != 0 ||
+			e.outValid || e.outQuality != 0 || e.uTotal != 0 || e.uAcked != 0 || e.failsSince != 0 {
+			t.Fatalf("entry %v keeps beacon-window state: %+v", e.Addr, *e)
+		}
+	}
 }
 
 func TestLQIAgingDoublesCost(t *testing.T) {
-	est := NewLQIEstimator(self, DefaultConfig(), sim.NewRand(1))
+	est := newEstimator(KindLQI, self, DefaultConfig(), nil, sim.NewRand(1))
 	kindBeacon(t, est, 7, 1, 0, 110)
 	wantKindETX(t, est, 7, 1.0)
 	est.Age(sim.Second, 10*sim.Second) // silent well past the budget
@@ -171,14 +198,38 @@ func TestETXFromLQIMonotoneAndClamped(t *testing.T) {
 	}
 }
 
-// TestAdjustLQIDelegation pins that the cubic in core is the one the
-// MultiHopLQI router uses (the router delegates here), at the TinyOS
-// reference points.
+// TestAdjustLQIDelegation pins the cubic the MultiHopLQI router calls
+// (core.AdjustLQI, with no router-side copy) at the TinyOS reference
+// points, v = 80-(lqi-50), cost = ((v*v)>>3)*v >> 3, and checks its shape:
+// the cost grows as LQI falls, one great hop beats several mediocre ones,
+// and every LQI maps into [1, 0xFFFE].
 func TestAdjustLQIDelegation(t *testing.T) {
 	cases := map[uint8]uint16{110: 125, 100: 420, 80: 1950}
 	for lqi, want := range cases {
+		v := 80 - (int(lqi) - 50)
+		if formula := uint16(((v * v) >> 3) * v >> 3); formula != want {
+			t.Fatalf("reference point %d: formula gives %d, table says %d", lqi, formula, want)
+		}
 		if got := AdjustLQI(lqi); got != want {
 			t.Errorf("AdjustLQI(%d) = %d, want %d", lqi, got, want)
+		}
+	}
+	prev := uint16(0)
+	for lqi := 110; lqi >= 40; lqi-- {
+		c := AdjustLQI(uint8(lqi))
+		if c < prev {
+			t.Fatalf("AdjustLQI(%d) = %d < AdjustLQI(%d) = %d; cost must grow as LQI falls",
+				lqi, c, lqi+1, prev)
+		}
+		prev = c
+	}
+	// The cost of an LQI-80 link must exceed 4x that of an LQI-110 link.
+	if AdjustLQI(80) < 4*AdjustLQI(110) {
+		t.Fatalf("AdjustLQI(80)=%d not ≫ AdjustLQI(110)=%d", AdjustLQI(80), AdjustLQI(110))
+	}
+	for lqi := 0; lqi <= 255; lqi++ {
+		if c := AdjustLQI(uint8(lqi)); c < 1 || c > 0xFFFE {
+			t.Fatalf("AdjustLQI(%d) = %d out of [1, 0xFFFE]", lqi, c)
 		}
 	}
 }

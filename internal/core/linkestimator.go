@@ -9,10 +9,13 @@ import (
 )
 
 // LinkEstimator is the router-facing contract every link estimator
-// implements. Estimator implements the paper's four-bit hybrid and the
-// competing beacon-counting kinds (KindWMEWMA, KindPDR); LQIEstimator is a
-// pure physical-layer moving average. All plug into the same router, so
-// estimator choice becomes an experiment axis instead of a protocol fork.
+// implements. Estimator, the one implementation in this package, is every
+// registered kind: the paper's four-bit hybrid, the competing
+// beacon-counting kinds (KindWMEWMA, KindPDR) and the pure physical-layer
+// moving average (KindLQI). All plug into the same router, so estimator
+// choice becomes an experiment axis instead of a protocol fork. The
+// interface stays for the decorators that node.EnvConfig.WrapEstimator
+// installs (serve.FeedRecorder, perfbench's timing wrapper).
 //
 // The contract has four parts:
 //
@@ -25,9 +28,9 @@ import (
 //     for unicast transmissions, OnOverhear consumes physical-layer metadata
 //     from non-beacon frames the node happens to receive, and Age lets the
 //     router inject silence at its own beacon cadence. Implementations are
-//     free to ignore any hook (the four-bit estimator ignores OnOverhear;
-//     the LQI estimator ignores TxResult) — a hook call must then be a
-//     strict no-op, consuming no randomness.
+//     free to ignore any hook (the four-bit kind ignores OnOverhear; the
+//     LQI kind ignores TxResult) — a hook call must then be a strict
+//     no-op, consuming no randomness.
 //
 //   - Cost quantity: Quality reports a bidirectional-ETX-comparable value
 //     (1 = perfect link, larger is worse, clamped at Config.MaxETX), so the
@@ -159,10 +162,8 @@ func NewKind(kind EstimatorKind, self packet.Addr, cfg Config, cmp Comparer, rng
 	switch kind {
 	case "", KindFourBit:
 		return New(self, cfg, cmp, rng), nil
-	case KindWMEWMA, KindPDR:
+	case KindWMEWMA, KindPDR, KindLQI:
 		return newEstimator(kind, self, cfg, cmp, rng), nil
-	case KindLQI:
-		return NewLQIEstimator(self, cfg, rng), nil
 	default:
 		_, err := ParseEstimatorKind(string(kind))
 		return nil, err

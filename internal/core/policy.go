@@ -6,61 +6,16 @@ import (
 	"fourbit/internal/sim"
 )
 
-// Shared estimator mechanics. Every LinkEstimator kind manages the same
-// fixed-capacity Table, speaks the same LE beacon envelope, and admits and
-// evicts by the same Woo-style policy (admit) — so those mechanics live
-// here, and each estimator file contains only what makes that estimator
-// different.
-
-// tableView provides the neighbor-table half of the LinkEstimator contract
-// over a shared *Table, plus the probe-bus plumbing every kind shares.
-// Estimators embed it.
-type tableView struct {
-	table  *Table
-	self   packet.Addr
-	probes *probe.Bus
-}
-
-// SetProbes implements LinkEstimator: it installs the run's probe bus,
-// into which the estimator emits its table admission/eviction events.
-// Estimators are built without a clock, so unlike the other layers they
-// receive the bus explicitly (node wiring calls this right after NewKind).
-func (v *tableView) SetProbes(b *probe.Bus) { v.probes = b }
-
-// Table exposes the link table for inspection (routing, metrics, tests).
-func (v *tableView) Table() *Table { return v.table }
-
-// Quality returns the current bidirectional ETX estimate for addr. ok is
-// false while no estimate exists (unknown neighbor, or still bootstrapping).
-func (v *tableView) Quality(addr packet.Addr) (etx float64, ok bool) {
-	e := v.table.Find(addr)
-	if e == nil || !e.etxInit {
-		return 0, false
-	}
-	return e.etx, true
-}
-
-// Pin sets the pin bit on addr (network layer: "this link is in use").
-func (v *tableView) Pin(addr packet.Addr) bool { return v.table.Pin(addr) }
-
-// Unpin clears the pin bit on addr.
-func (v *tableView) Unpin(addr packet.Addr) bool { return v.table.Unpin(addr) }
-
-// Neighbors returns the addresses currently in the table.
-func (v *tableView) Neighbors() []packet.Addr {
-	out := make([]packet.Addr, 0, v.table.Len())
-	for _, e := range v.table.Entries() {
-		out = append(out, e.Addr)
-	}
-	return out
-}
+// Table mechanics every kind shares: admission and eviction by one
+// Woo-style policy (admit), and the LE beacon envelope's sequence window,
+// footer scan and footer build.
 
 // effETX is the eviction-policy view of an entry, shared by every
 // estimator kind: its estimate if initialized; MaxETX for a mature
 // estimate-less squatter (the maturity rule of Woo et al.); 0 — not
 // evictable — while warming up. A plain function rather than a per-kind
 // closure so the admission scans, the hottest loops of the whole
-// simulator, inline it. (The LQI kind publishes on the first sample, so
+// simulator, inline it. (The lqi kind publishes on the first sample, so
 // its entries never hit the squatter clause — behavior is identical for
 // all kinds.)
 func effETX(e *Entry, maxETX float64) float64 {
@@ -140,32 +95,33 @@ func mustInsert(t *Table, src packet.Addr) *Entry {
 // slot; it is the admission policy of every kind. Free slots are always
 // granted (Woo et al.). With a full table, the standard replacement policy
 // lets a newcomer displace the unpinned entry with the worst effective ETX
-// when that entry is bad enough to be useless. Next, only when the caller
-// passes a comparer, comes the white/compare step unique to the 4B design
-// (§3.3): the network layer is asked whether src offers a better route, and
-// a yes evicts for it. Last, the FREQUENCY lottery. Admission outcomes are
-// emitted as table events through the view's probe bus.
-func admit(v *tableView, rng *sim.Rand, cfg *Config, stats *Stats, src packet.Addr, cmp Comparer, netPayload []byte) *Entry {
-	t := v.table
+// when that entry is bad enough to be useless. Next, only for a white
+// beacon when the kind honours WhiteCompare and a comparer is installed,
+// comes the white/compare step unique to the 4B design (§3.3): the network
+// layer is asked whether src offers a better route, and a yes evicts for
+// it. Last, the FREQUENCY lottery. Admission outcomes are emitted as table
+// events through the estimator's probe bus.
+func (est *Estimator) admit(src packet.Addr, white bool, netPayload []byte) *Entry {
+	t, cfg, stats := est.table, &est.cfg, &est.Stats
 	if e := t.Insert(src); e != nil {
 		stats.Inserted++
-		v.probes.Table(v.self, src, probe.OpInsert)
+		est.probes.Table(est.self, src, probe.OpInsert)
 		return e
 	}
 	// Standard policy first: displace a demonstrably useless entry. This
 	// keeps squatters from poisoning the white/compare path below.
 	if victim, ok := evictWorst(t, cfg.MaxETX, cfg.EvictETX); ok {
 		stats.Replaced++
-		v.emitReplace(victim, src)
+		est.emitReplace(victim, src)
 		return mustInsert(t, src)
 	}
-	if cmp != nil {
+	if est.feat.WhiteCompare && white && est.cmp != nil {
 		stats.CompareAsked++
-		if cmp.CompareBit(src, netPayload) {
+		if est.cmp.CompareBit(src, netPayload) {
 			stats.CompareTrue++
-			if victim, ok := evictForReplacement(t, cfg.MaxETX, rng); ok {
+			if victim, ok := evictForReplacement(t, cfg.MaxETX, est.rng); ok {
 				stats.Replaced++
-				v.emitReplace(victim, src)
+				est.emitReplace(victim, src)
 				return mustInsert(t, src)
 			}
 		}
@@ -175,23 +131,23 @@ func admit(v *tableView, rng *sim.Rand, cfg *Config, stats *Stats, src packet.Ad
 	// is the worst unpinned entry, never a random good one — otherwise
 	// rarely-heard phantom neighbors (one lucky fade per hour) would
 	// erode real links in sparse low-power networks.
-	if rng.Bernoulli(cfg.LotteryProb) {
-		if victim, ok := evictForReplacement(t, cfg.MaxETX, rng); ok {
+	if est.rng.Bernoulli(cfg.LotteryProb) {
+		if victim, ok := evictForReplacement(t, cfg.MaxETX, est.rng); ok {
 			stats.Replaced++
 			stats.LotteryWins++
-			v.emitReplace(victim, src)
+			est.emitReplace(victim, src)
 			return mustInsert(t, src)
 		}
 	}
 	stats.RejectedFull++
-	v.probes.Table(v.self, src, probe.OpReject)
+	est.probes.Table(est.self, src, probe.OpReject)
 	return nil
 }
 
 // emitReplace reports an eviction-for-admission pair on the probe bus.
-func (v *tableView) emitReplace(victim, newcomer packet.Addr) {
-	v.probes.Table(v.self, victim, probe.OpEvict)
-	v.probes.Table(v.self, newcomer, probe.OpReplace)
+func (est *Estimator) emitReplace(victim, newcomer packet.Addr) {
+	est.probes.Table(est.self, victim, probe.OpEvict)
+	est.probes.Table(est.self, newcomer, probe.OpReplace)
 }
 
 // accountSeq folds a received beacon's sequence number into the entry's

@@ -116,96 +116,68 @@ func (s *EntrySnapshot) restoreInto(e *Entry) {
 	e.windows = s.Windows
 }
 
-// snapshotCommon assembles the snapshot fields every kind shares.
-func snapshotCommon(kind EstimatorKind, self packet.Addr, cfg Config, rng *sim.Rand,
-	beaconSeq uint16, footerIdx int, stats Stats, t *Table) (*EstimatorSnapshot, error) {
-	seed, draws, ok := rng.SnapshotState()
+// Snapshot implements LinkEstimator.
+func (est *Estimator) Snapshot() (*EstimatorSnapshot, error) {
+	seed, draws, ok := est.rng.SnapshotState()
 	if !ok {
 		return nil, ErrSnapshotRNG
 	}
 	snap := &EstimatorSnapshot{
-		Version: SnapshotVersion, Kind: kind, Self: self, Config: cfg,
+		Version: SnapshotVersion, Kind: est.kind, Self: est.self, Config: est.cfg,
 		RNGSeed: seed, RNGDraws: draws,
-		BeaconSeq: beaconSeq, FooterIdx: footerIdx, Stats: stats,
-		Entries: make([]EntrySnapshot, 0, t.Len()),
+		BeaconSeq: est.beaconSeq, FooterIdx: est.footerIdx, Stats: est.Stats,
+		Entries: make([]EntrySnapshot, 0, est.table.Len()),
 	}
-	for _, e := range t.Entries() {
+	for _, e := range est.table.Entries() {
 		snap.Entries = append(snap.Entries, e.snapshot())
 	}
 	return snap, nil
 }
 
-// checkSnapshot validates the envelope against the restoring kind and
-// returns the restored rng stream and rebuilt table.
-func checkSnapshot(snap *EstimatorSnapshot, kind EstimatorKind) (*sim.Rand, *Table, error) {
+// Restore implements LinkEstimator; what the kind decides is derived
+// afresh from the restored config. The installed comparer and probe bus
+// survive — they are receiver-side wiring, not estimator state.
+func (est *Estimator) Restore(snap *EstimatorSnapshot) error {
 	if snap == nil {
-		return nil, nil, fmt.Errorf("%w: nil snapshot", ErrSnapshotState)
+		return fmt.Errorf("%w: nil snapshot", ErrSnapshotState)
 	}
 	if snap.Version != SnapshotVersion {
-		return nil, nil, fmt.Errorf("%w: snapshot has version %d, this build speaks %d",
+		return fmt.Errorf("%w: snapshot has version %d, this build speaks %d",
 			ErrSnapshotVersion, snap.Version, SnapshotVersion)
 	}
-	if snap.Kind != kind {
-		return nil, nil, fmt.Errorf("%w: snapshot is %q, estimator is %q", ErrSnapshotKind, snap.Kind, kind)
+	if snap.Kind != est.kind {
+		return fmt.Errorf("%w: snapshot is %q, estimator is %q", ErrSnapshotKind, snap.Kind, est.kind)
 	}
 	if err := snap.Config.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrSnapshotState, err)
+		return fmt.Errorf("%w: %v", ErrSnapshotState, err)
 	}
 	if snap.RNGDraws > maxRestoreDraws {
-		return nil, nil, fmt.Errorf("%w: rng position %d exceeds the replay bound %d",
+		return fmt.Errorf("%w: rng position %d exceeds the replay bound %d",
 			ErrSnapshotState, snap.RNGDraws, uint64(maxRestoreDraws))
 	}
 	if len(snap.Entries) > snap.Config.TableSize {
-		return nil, nil, fmt.Errorf("%w: %d entries exceed table size %d",
+		return fmt.Errorf("%w: %d entries exceed table size %d",
 			ErrSnapshotState, len(snap.Entries), snap.Config.TableSize)
+	}
+	// MakeBeacon indexes the table by the footer cursor, which it keeps
+	// below the table's length, so a cursor outside [0, TableSize) could
+	// only come from a forged snapshot and would panic the next beacon.
+	if snap.FooterIdx < 0 || snap.FooterIdx >= snap.Config.TableSize {
+		return fmt.Errorf("%w: footer cursor %d outside [0, %d)",
+			ErrSnapshotState, snap.FooterIdx, snap.Config.TableSize)
 	}
 	t := newTable(snap.Config.TableSize)
 	for i := range snap.Entries {
 		s := &snap.Entries[i]
 		if t.Find(s.Addr) != nil {
-			return nil, nil, fmt.Errorf("%w: duplicate entry for %v", ErrSnapshotState, s.Addr)
+			return fmt.Errorf("%w: duplicate entry for %v", ErrSnapshotState, s.Addr)
 		}
 		s.restoreInto(t.Insert(s.Addr))
 	}
-	return sim.RestoreCountedRand(snap.RNGSeed, snap.RNGDraws), t, nil
-}
-
-// Snapshot implements LinkEstimator for the beacon-counting kinds.
-func (est *Estimator) Snapshot() (*EstimatorSnapshot, error) {
-	return snapshotCommon(est.kind, est.self, est.cfg, est.rng,
-		est.beaconSeq, est.footerIdx, est.Stats, est.table)
-}
-
-// Restore implements LinkEstimator for the beacon-counting kinds; what the
-// kind decides is derived afresh from the restored config. The installed
-// comparer and probe bus survive — they are receiver-side wiring, not
-// estimator state.
-func (est *Estimator) Restore(snap *EstimatorSnapshot) error {
-	rng, t, err := checkSnapshot(snap, est.kind)
-	if err != nil {
-		return err
-	}
-	est.table, est.self, est.cfg, est.rng = t, snap.Self, snap.Config, rng
+	est.table, est.self, est.cfg = t, snap.Self, snap.Config
+	est.rng = sim.RestoreCountedRand(snap.RNGSeed, snap.RNGDraws)
 	est.beaconSeq, est.footerIdx, est.Stats = snap.BeaconSeq, snap.FooterIdx, snap.Stats
 	est.derive()
-	return nil
-}
-
-// Snapshot implements LinkEstimator for the LQI kind (no footer cursor —
-// its beacons advertise nothing).
-func (est *LQIEstimator) Snapshot() (*EstimatorSnapshot, error) {
-	return snapshotCommon(KindLQI, est.self, est.cfg, est.rng,
-		est.beaconSeq, 0, est.stats, est.table)
-}
-
-// Restore implements LinkEstimator for the LQI kind.
-func (est *LQIEstimator) Restore(snap *EstimatorSnapshot) error {
-	rng, t, err := checkSnapshot(snap, KindLQI)
-	if err != nil {
-		return err
-	}
-	est.table, est.self, est.cfg, est.rng = t, snap.Self, snap.Config, rng
-	est.beaconSeq, est.stats = snap.BeaconSeq, snap.Stats
 	return nil
 }
 
@@ -221,17 +193,7 @@ func RestoreKind(snap *EstimatorSnapshot) (LinkEstimator, error) {
 	if _, err := ParseEstimatorKind(string(snap.Kind)); err != nil || snap.Kind == "" {
 		return nil, fmt.Errorf("%w: %q", ErrSnapshotKind, snap.Kind)
 	}
-	if snap.Version != SnapshotVersion {
-		return nil, fmt.Errorf("%w: snapshot has version %d, this build speaks %d",
-			ErrSnapshotVersion, snap.Version, SnapshotVersion)
-	}
-	if err := snap.Config.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotState, err)
-	}
-	est, err := NewKind(snap.Kind, snap.Self, snap.Config, nil, sim.NewCountedRand(snap.RNGSeed))
-	if err != nil {
-		return nil, err
-	}
+	est := &Estimator{kind: snap.Kind}
 	if err := est.Restore(snap); err != nil {
 		return nil, err
 	}

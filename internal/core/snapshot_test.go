@@ -227,6 +227,14 @@ func TestSnapshotVersionAndKindGates(t *testing.T) {
 		t.Fatalf("duplicate entries: err = %v, want ErrSnapshotState", err)
 	}
 
+	for _, idx := range []int{-1, bad.Config.TableSize} {
+		bad = *snap
+		bad.FooterIdx = idx
+		if _, err := RestoreKind(&bad); !errors.Is(err, ErrSnapshotState) {
+			t.Fatalf("footer cursor %d: err = %v, want ErrSnapshotState", idx, err)
+		}
+	}
+
 	bad = *snap
 	bad.RNGDraws = maxRestoreDraws + 1
 	if _, err := RestoreKind(&bad); !errors.Is(err, ErrSnapshotState) {

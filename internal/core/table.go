@@ -7,13 +7,13 @@ import (
 
 // Entry is one candidate link in the estimator's table. Fields are managed
 // by the owning estimator; external layers interact only through the pin
-// bit and the published ETX. The field groups below are the union the two
-// estimator types need: both publish through etx/etxInit; Estimator (the
-// beacon-counting kinds 4bit, wmewma and pdr) uses the sequence window and
-// the footer reverse quality, and only its 4bit kind the unicast stream;
-// LQIEstimator keeps its moving average in prrEwma (on the raw LQI scale
+// bit and the published ETX. The field groups below are the union the
+// estimator kinds need: every kind publishes through etx/etxInit; the
+// beacon-counting kinds (4bit, wmewma and pdr) use the sequence window and
+// the footer reverse quality, and only the 4bit kind the unicast stream;
+// the lqi kind keeps its moving average in prrEwma (on the raw LQI scale
 // instead of a reception ratio — it advertises no footers, so the value
-// never leaves the node).
+// never leaves the node) and leaves the other groups zero.
 type Entry struct {
 	Addr   packet.Addr
 	Pinned bool // the pin bit: network layer forbids eviction

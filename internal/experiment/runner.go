@@ -121,7 +121,7 @@ func newStat(vs []float64) Stat {
 	var ss float64
 	for _, v := range vs {
 		d := v - mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return Stat{Mean: mean, Stddev: math.Sqrt(ss / float64(len(vs)-1))}
 }

@@ -5,9 +5,10 @@
 // the link to the sender solely by the LQI of the beacon itself — no link
 // table, no reception-ratio accounting, no feedback from data traffic.
 //
-// The cost of one hop is AdjustLQI(lqi), the cubic penalty used by the
-// TinyOS implementation, so low-LQI links are strongly avoided — but links
-// whose received packets carry high LQI while many packets are lost
+// The cost of one hop is core.AdjustLQI(lqi), the cubic penalty used by
+// the TinyOS implementation (it lives in internal/core because the lqi
+// estimator kind shares it), so low-LQI links are strongly avoided — but
+// links whose received packets carry high LQI while many packets are lost
 // entirely (bursty links) look perfect. That blindness is the paper's
 // Figure 3 failure case.
 package lqirouter
@@ -46,15 +47,6 @@ func DefaultConfig() Config {
 		MaxHops:      60,
 	}
 }
-
-// AdjustLQI converts a received beacon's LQI into the link-cost increment,
-// exactly as the TinyOS implementation does: a cubic penalty in
-// (80 - (lqi - 50)) that makes low-LQI hops rapidly unattractive.
-//
-// The cubic itself lives in internal/core (estimation logic shared with
-// the pluggable pure-LQI estimator, core.LQIEstimator); this router keeps
-// only the routing machinery around it.
-func AdjustLQI(lqi uint8) uint16 { return core.AdjustLQI(lqi) }
 
 // noRoute is the advertised cost of a node without a route.
 const noRoute = 0xFFFF
@@ -96,6 +88,10 @@ type Node struct {
 	queue     []*packet.LQIData
 	sending   bool
 	attempts  int
+	txFrame   packet.Frame       // scratch frame for data sends
+	encBuf    []byte             // scratch: encoded data payload
+	pumpFn    func()             // n.pump and n.onDataTxDone, bound once so
+	dataDone  func(mac.TxResult) // sends and retries allocate no closure
 	dup       map[dupKey]struct{}
 	dupFIFO   []dupKey
 	dupNext   int
@@ -126,6 +122,7 @@ func New(clock *sim.Simulator, m *mac.MAC, isRoot bool, cfg Config, rng *sim.Ran
 	if isRoot {
 		n.myCost = 0
 	}
+	n.pumpFn, n.dataDone = n.pump, n.onDataTxDone
 	m.OnReceive(n.onFrame)
 	return n
 }
@@ -223,7 +220,7 @@ func (n *Node) handleBeacon(src packet.Addr, b *packet.LQIBeacon, info phy.RxInf
 	if b.Cost == noRoute {
 		return
 	}
-	link := uint32(AdjustLQI(info.LQI))
+	link := uint32(core.AdjustLQI(info.LQI))
 	total32 := uint32(b.Cost) + link
 	if total32 > noRoute-1 {
 		total32 = noRoute - 1
@@ -329,25 +326,35 @@ func (n *Node) pump() {
 		return
 	}
 	d := n.queue[0]
-	payload, err := d.Encode()
+	var err error
+	n.encBuf, err = d.AppendTo(n.encBuf[:0])
 	if err != nil {
 		n.queue = n.queue[1:]
 		n.Stats.DropsQueue++
 		n.pump()
 		return
 	}
-	f := &packet.Frame{
+	// The frame and its payload are node-owned scratch: the MAC encodes
+	// the frame on Send and holds it only until dataDone, and pump starts
+	// no new send before then.
+	n.txFrame = packet.Frame{
 		Type:       packet.TypeData,
 		AckRequest: true,
 		Src:        n.self,
 		Dst:        n.parent,
-		Payload:    payload,
+		Payload:    n.encBuf,
 	}
 	n.sending = true
-	if err := n.m.Send(f, n.onDataTxDone); err != nil {
+	if err := n.m.Send(&n.txFrame, n.dataDone); err != nil {
 		n.sending = false
-		n.clock.After(10*sim.Millisecond, n.pump)
+		n.retryAfter(10 * sim.Millisecond)
 	}
+}
+
+// retryAfter re-runs pump after d through the pooled, handle-free timers
+// (dispatched in the same order as At), so a retry allocates nothing.
+func (n *Node) retryAfter(d sim.Time) {
+	n.clock.Schedule(n.clock.Now()+d, n.pumpFn)
 }
 
 func (n *Node) onDataTxDone(res mac.TxResult) {
@@ -369,5 +376,5 @@ func (n *Node) onDataTxDone(res mac.TxResult) {
 		n.pump()
 		return
 	}
-	n.clock.After(n.rng.UniformTime(4*sim.Millisecond, 24*sim.Millisecond), n.pump)
+	n.retryAfter(n.rng.UniformTime(4*sim.Millisecond, 24*sim.Millisecond))
 }

@@ -54,15 +54,20 @@ func (d *LQIData) EncodedLen() int { return lqiDataHeaderLen + len(d.Data) }
 
 // Encode serializes the data header and payload.
 func (d *LQIData) Encode() ([]byte, error) {
+	return d.AppendTo(nil)
+}
+
+// AppendTo serializes the data header and payload onto dst and returns the
+// extended slice; a reused scratch buffer (d.AppendTo(buf[:0])) encodes
+// without allocating once it has grown.
+func (d *LQIData) AppendTo(dst []byte) ([]byte, error) {
 	if d.EncodedLen() > MaxPayload {
-		return nil, ErrTooLong
+		return dst, ErrTooLong
 	}
-	buf := make([]byte, d.EncodedLen())
-	binary.BigEndian.PutUint16(buf[0:], uint16(d.Origin))
-	binary.BigEndian.PutUint16(buf[2:], d.OriginSeq)
-	buf[4] = d.HopCount
-	copy(buf[lqiDataHeaderLen:], d.Data)
-	return buf, nil
+	dst = binary.BigEndian.AppendUint16(dst, uint16(d.Origin))
+	dst = binary.BigEndian.AppendUint16(dst, d.OriginSeq)
+	dst = append(dst, d.HopCount)
+	return append(dst, d.Data...), nil
 }
 
 // DecodeLQIData parses a data frame payload.

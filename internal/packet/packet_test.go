@@ -326,11 +326,24 @@ func TestLQIDataRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		// AppendTo onto a used buffer writes the same bytes after its
+		// prefix.
+		scratch, err := in.AppendTo([]byte{0xAA, 0xBB})
+		if err != nil || !bytes.Equal(scratch[:2], []byte{0xAA, 0xBB}) || !bytes.Equal(scratch[2:], enc) {
+			return false
+		}
 		out, err := DecodeLQIData(enc)
 		return err == nil && reflect.DeepEqual(in, out)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+	long := &LQIData{Data: make([]byte, MaxPayload-4)}
+	if _, err := long.Encode(); err != ErrTooLong {
+		t.Fatalf("Encode of an oversized payload: err %v, want ErrTooLong", err)
+	}
+	if got, err := long.AppendTo([]byte{1}); err != ErrTooLong || len(got) != 1 {
+		t.Fatalf("AppendTo of an oversized payload: %d bytes, err %v; want the buffer back and ErrTooLong", len(got), err)
 	}
 }
 
