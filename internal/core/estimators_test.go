@@ -200,36 +200,12 @@ func TestETXFromLQIMonotoneAndClamped(t *testing.T) {
 
 // TestAdjustLQIDelegation pins the cubic the MultiHopLQI router calls
 // (core.AdjustLQI, with no router-side copy) at the TinyOS reference
-// points, v = 80-(lqi-50), cost = ((v*v)>>3)*v >> 3, and checks its shape:
-// the cost grows as LQI falls, one great hop beats several mediocre ones,
-// and every LQI maps into [1, 0xFFFE].
+// points; the router's own tests check its shape.
 func TestAdjustLQIDelegation(t *testing.T) {
 	cases := map[uint8]uint16{110: 125, 100: 420, 80: 1950}
 	for lqi, want := range cases {
-		v := 80 - (int(lqi) - 50)
-		if formula := uint16(((v * v) >> 3) * v >> 3); formula != want {
-			t.Fatalf("reference point %d: formula gives %d, table says %d", lqi, formula, want)
-		}
 		if got := AdjustLQI(lqi); got != want {
 			t.Errorf("AdjustLQI(%d) = %d, want %d", lqi, got, want)
-		}
-	}
-	prev := uint16(0)
-	for lqi := 110; lqi >= 40; lqi-- {
-		c := AdjustLQI(uint8(lqi))
-		if c < prev {
-			t.Fatalf("AdjustLQI(%d) = %d < AdjustLQI(%d) = %d; cost must grow as LQI falls",
-				lqi, c, lqi+1, prev)
-		}
-		prev = c
-	}
-	// The cost of an LQI-80 link must exceed 4x that of an LQI-110 link.
-	if AdjustLQI(80) < 4*AdjustLQI(110) {
-		t.Fatalf("AdjustLQI(80)=%d not ≫ AdjustLQI(110)=%d", AdjustLQI(80), AdjustLQI(110))
-	}
-	for lqi := 0; lqi <= 255; lqi++ {
-		if c := AdjustLQI(uint8(lqi)); c < 1 || c > 0xFFFE {
-			t.Fatalf("AdjustLQI(%d) = %d out of [1, 0xFFFE]", lqi, c)
 		}
 	}
 }

@@ -1,11 +1,18 @@
 package lqirouter
 
-import "testing"
+import (
+	"testing"
+
+	"fourbit/internal/core"
+)
+
+// The router's per-hop cost is core.AdjustLQI; these tests pin the shape
+// that MultiHopLQI's route selection relies on.
 
 func TestAdjustLQIMonotoneDecreasing(t *testing.T) {
 	prev := uint16(0)
 	for lqi := 110; lqi >= 40; lqi-- {
-		c := AdjustLQI(uint8(lqi))
+		c := core.AdjustLQI(uint8(lqi))
 		if c < prev {
 			t.Fatalf("AdjustLQI(%d) = %d < AdjustLQI(%d) = %d; cost must grow as LQI falls",
 				lqi, c, lqi+1, prev)
@@ -20,14 +27,16 @@ func TestAdjustLQIKnownValues(t *testing.T) {
 		lqi  uint8
 		want uint16
 	}{
-		{110, 125},  // v=20: (400>>3)*20>>3 = 50*20>>3 = 125
-		{100, 1012}, // v=30: (900>>3)*30>>3 = 112*30>>3 = 420 -> recompute below
+		{110, 125}, // v=20: (400>>3)*20>>3 = 50*20>>3
+		{100, 420}, // v=30: (900>>3)*30>>3 = 112*30>>3
+		{80, 1950}, // v=50: (2500>>3)*50>>3 = 312*50>>3
 	}
-	// Compute the second case precisely rather than trusting the comment:
-	v := 30
-	cases[1].want = uint16(((v * v) >> 3) * v >> 3)
 	for _, c := range cases {
-		if got := AdjustLQI(c.lqi); got != c.want {
+		v := 80 - (int(c.lqi) - 50)
+		if formula := uint16(((v * v) >> 3) * v >> 3); formula != c.want {
+			t.Fatalf("reference point %d: formula gives %d, table says %d", c.lqi, formula, c.want)
+		}
+		if got := core.AdjustLQI(c.lqi); got != c.want {
 			t.Errorf("AdjustLQI(%d) = %d, want %d", c.lqi, got, c.want)
 		}
 	}
@@ -36,14 +45,14 @@ func TestAdjustLQIKnownValues(t *testing.T) {
 func TestAdjustLQICubicGrowth(t *testing.T) {
 	// One great hop must beat several mediocre ones: the cost of an LQI-80
 	// link should exceed 4x the cost of an LQI-110 link.
-	if AdjustLQI(80) < 4*AdjustLQI(110) {
-		t.Fatalf("AdjustLQI(80)=%d not ≫ AdjustLQI(110)=%d", AdjustLQI(80), AdjustLQI(110))
+	if core.AdjustLQI(80) < 4*core.AdjustLQI(110) {
+		t.Fatalf("AdjustLQI(80)=%d not ≫ AdjustLQI(110)=%d", core.AdjustLQI(80), core.AdjustLQI(110))
 	}
 }
 
 func TestAdjustLQIBounds(t *testing.T) {
 	for lqi := 0; lqi <= 255; lqi++ {
-		c := AdjustLQI(uint8(lqi))
+		c := core.AdjustLQI(uint8(lqi))
 		if c < 1 || c > 0xFFFE {
 			t.Fatalf("AdjustLQI(%d) = %d out of [1, 0xFFFE]", lqi, c)
 		}
