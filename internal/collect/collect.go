@@ -83,9 +83,6 @@ type Source struct {
 	seq    uint32
 	timer  *sim.Timer // one persistent timer, re-armed per packet
 	buf    []byte     // reusable reading buffer (protocols copy on accept)
-
-	Generated uint64
-	Refused   uint64 // packets the protocol would not accept (queue full)
 }
 
 // NewSource builds a generator for origin that submits through send and
@@ -107,13 +104,9 @@ func (s *Source) Start(boot sim.Time) {
 
 func (s *Source) fire() {
 	s.seq++
-	s.Generated++
 	s.ledger.NoteGenerated(s.origin, s.seq)
 	s.buf = AppendReading(s.buf[:0], s.seq, s.wl.PayloadBytes)
 	accepted := s.send(s.buf)
-	if !accepted {
-		s.Refused++
-	}
 	s.probes.Generate(s.origin, s.seq, accepted)
 	j := s.wl.JitterFrac
 	gap := s.wl.Period.Scale(s.rng.Uniform(1-j, 1+j))

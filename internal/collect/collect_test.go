@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fourbit/internal/packet"
+	"fourbit/internal/probe"
 	"fourbit/internal/sim"
 )
 
@@ -24,8 +25,24 @@ func TestReadingRoundTrip(t *testing.T) {
 	}
 }
 
+// generateSink tallies the bus's GenerateEvents by outcome.
+type generateSink struct {
+	probe.BaseSink
+	accepted, refused int
+}
+
+func (s *generateSink) OnGenerate(e probe.GenerateEvent) {
+	if e.Accepted {
+		s.accepted++
+	} else {
+		s.refused++
+	}
+}
+
 func TestSourceRateAndAccounting(t *testing.T) {
 	clock := sim.New(1)
+	gens := &generateSink{}
+	probe.NewBus(clock).Attach(gens)
 	ledger := NewLedger()
 	wl := DefaultWorkload()
 	var sent int
@@ -42,11 +59,9 @@ func TestSourceRateAndAccounting(t *testing.T) {
 	if sent < 50 || sent > 70 {
 		t.Fatalf("sent %d packets in 10 min, want ~60", sent)
 	}
-	if src.Generated != uint64(sent) {
-		t.Fatalf("Generated = %d, sent = %d", src.Generated, sent)
-	}
-	if src.Refused != uint64(sent/4) {
-		t.Fatalf("Refused = %d, want %d", src.Refused, sent/4)
+	if gens.accepted+gens.refused != sent || gens.refused != sent/4 {
+		t.Fatalf("bus saw %d accepted + %d refused, want %d with %d refused",
+			gens.accepted, gens.refused, sent, sent/4)
 	}
 	if g := ledger.Generated(); g != uint64(sent) {
 		t.Fatalf("ledger.Generated = %d, want %d", g, sent)

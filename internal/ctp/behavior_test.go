@@ -7,6 +7,7 @@ import (
 	"fourbit/internal/mac"
 	"fourbit/internal/packet"
 	"fourbit/internal/phy"
+	"fourbit/internal/probe"
 	"fourbit/internal/sim"
 	"fourbit/internal/topo"
 )
@@ -20,6 +21,39 @@ type rig struct {
 	nodes []*Node
 	macs  []*mac.MAC
 	ests  []*core.Estimator
+	log   *busLog
+}
+
+// busLog records the probe events the behaviour tests read.
+type busLog struct {
+	probe.BaseSink
+	tx      []probe.TxEvent
+	beacons []probe.BeaconEvent
+}
+
+func (l *busLog) OnTx(e probe.TxEvent)         { l.tx = append(l.tx, e) }
+func (l *busLog) OnBeacon(e probe.BeaconEvent) { l.beacons = append(l.beacons, e) }
+
+// dataTx returns node's unicast transmission outcomes after from.
+func (l *busLog) dataTx(node packet.Addr, from sim.Time) []probe.TxEvent {
+	var out []probe.TxEvent
+	for _, e := range l.tx {
+		if e.Node == node && !e.Broadcast() && e.At > from {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// beaconsBy counts node's beacons announced in (from, to].
+func (l *busLog) beaconsBy(node packet.Addr, from, to sim.Time) int {
+	n := 0
+	for _, e := range l.beacons {
+		if e.Node == node && e.At > from && e.At <= to {
+			n++
+		}
+	}
+	return n
 }
 
 func newRig(t *testing.T, seed uint64, positions [][2]float64, cfg Config) *rig {
@@ -36,7 +70,8 @@ func newRig(t *testing.T, seed uint64, positions [][2]float64, cfg Config) *rig 
 	seeds := sim.NewSeedSpace(seed)
 	ch := phy.PrecomputeGeo(tp, p).NewChannel(seeds)
 	med := phy.NewMedium(clock, ch, phy.DefaultRadioParams(), phy.DefaultLQIParams(), seeds)
-	r := &rig{clock: clock, med: med, ch: ch}
+	r := &rig{clock: clock, med: med, ch: ch, log: &busLog{}}
+	probe.NewBus(clock).Attach(r.log)
 	for i := 0; i < n; i++ {
 		m := mac.New(clock, med.Radio(i), packet.Addr(i), mac.DefaultParams(), seeds.Stream("mac"))
 		est := core.New(packet.Addr(i), core.DefaultConfig(), nil, seeds.Stream("est"))
@@ -110,8 +145,14 @@ func TestDataDeliveryAndAckBitFeedback(t *testing.T) {
 	if r.ests[1].Stats.UnicastWindows == 0 {
 		t.Fatal("no unicast windows fed to the estimator")
 	}
-	if r.nodes[1].Stats.Forwarded != 20 {
-		t.Fatalf("Forwarded = %d", r.nodes[1].Stats.Forwarded)
+	acked := 0
+	for _, e := range r.log.dataTx(1, 0) {
+		if e.Acked {
+			acked++
+		}
+	}
+	if acked != 20 {
+		t.Fatalf("node 1 had %d data transmissions acked, want 20", acked)
 	}
 }
 
@@ -131,11 +172,10 @@ func TestQueueOverflowDropsAndCounts(t *testing.T) {
 		}
 	})
 	r.clock.RunUntil(20 * sim.Second)
-	if accepted == 10 {
-		t.Fatal("queue of 2 accepted a burst of 10")
-	}
-	if r.nodes[1].Stats.DropsQueue == 0 {
-		t.Fatal("no queue drops counted")
+	// The head stays queued while it is on air, so exactly QueueSize
+	// packets fit and Send refuses the rest.
+	if accepted != cfg.QueueSize {
+		t.Fatalf("queue of %d accepted %d of a burst of 10", cfg.QueueSize, accepted)
 	}
 }
 
@@ -166,10 +206,17 @@ func TestRetryExhaustionDropsPacket(t *testing.T) {
 	r.clock.RunUntil(10 * sim.Second) // node 1 has a route now
 	// Kill the link completely, then send.
 	r.ch.SetModifierBoth(0, 1, constLoss(80))
+	killed := r.clock.Now()
 	r.clock.After(0, func() { r.nodes[1].Send([]byte{1}) })
 	r.clock.RunUntil(20 * sim.Second)
-	if r.nodes[1].Stats.DropsRetry == 0 {
-		t.Fatal("packet not dropped after retry exhaustion")
+	tx := r.log.dataTx(1, killed)
+	for _, e := range tx {
+		if e.Acked {
+			t.Fatalf("transmission acked over a dead link: %+v", e)
+		}
+	}
+	if len(tx) != cfg.MaxRetries {
+		t.Fatalf("node 1 made %d attempts, want MaxRetries = %d", len(tx), cfg.MaxRetries)
 	}
 	if r.nodes[1].QueueLen() != 0 {
 		t.Fatal("queue not drained after drop")
@@ -197,37 +244,57 @@ func TestParentPinnedInEstimator(t *testing.T) {
 }
 
 func TestLoopDetectionTriggersBeacon(t *testing.T) {
-	r := newRig(t, 9, [][2]float64{{0, 0}, {30, 0}}, DefaultConfig())
-	r.startAll()
-	r.clock.RunUntil(10 * sim.Second)
-	resetsBefore := r.nodes[1].Stats.TrickleResets
-	// Forge a data frame whose sender claims a cost below node 1's own:
-	// a gradient inconsistency that must trigger a Trickle reset.
-	d := &packet.CTPData{Origin: 9, OriginSeq: 1, ETX: 0, THL: 1}
-	payload, _ := d.Encode()
-	f := &packet.Frame{Type: packet.TypeData, AckRequest: true, Src: 0, Dst: 1, Seq: 1, Payload: payload}
-	r.clock.After(0, func() { r.nodes[1].onDataFrame(f, phy.RxInfo{}) })
-	r.clock.RunUntil(11 * sim.Second)
-	if r.nodes[1].Stats.LoopsDetected == 0 {
-		t.Fatal("inconsistency not detected")
+	// Forge a data frame whose sender claims a cost below node 1's own: a
+	// gradient inconsistency whose Trickle reset must bring node 1's next
+	// beacon within BeaconMin. The unforged run is the control: by 10 s
+	// Trickle has slowed, so no beacon falls in that window by itself.
+	cfg := DefaultConfig()
+	beacons := func(forge bool) int {
+		r := newRig(t, 9, [][2]float64{{0, 0}, {30, 0}}, cfg)
+		r.startAll()
+		r.clock.RunUntil(10 * sim.Second)
+		d := &packet.CTPData{Origin: 9, OriginSeq: 1, ETX: 0, THL: 1}
+		payload, _ := d.Encode()
+		f := &packet.Frame{Type: packet.TypeData, AckRequest: true, Src: 0, Dst: 1, Seq: 1, Payload: payload}
+		if forge {
+			r.clock.After(0, func() { r.nodes[1].onDataFrame(f, phy.RxInfo{}) })
+		}
+		r.clock.RunUntil(11 * sim.Second)
+		return r.log.beaconsBy(1, 10*sim.Second, 10*sim.Second+cfg.BeaconMin)
 	}
-	if r.nodes[1].Stats.TrickleResets <= resetsBefore {
-		t.Fatal("no Trickle reset on inconsistency")
+	if n := beacons(false); n != 0 {
+		t.Fatalf("control: node 1 beaconed %d times right after 10 s unprompted", n)
+	}
+	if beacons(true) == 0 {
+		t.Fatal("no beacon within BeaconMin of the inconsistency")
 	}
 }
 
 func TestTHLCapDropsAncientPackets(t *testing.T) {
+	// A packet one hop short of the cap is forwarded to the root; one at
+	// the cap is dropped without a transmission.
 	cfg := DefaultConfig()
-	r := newRig(t, 10, [][2]float64{{0, 0}, {30, 0}, {60, 0}}, cfg)
-	r.startAll()
-	r.clock.RunUntil(10 * sim.Second)
-	d := &packet.CTPData{Origin: 9, OriginSeq: 1, ETX: 60000, THL: cfg.MaxTHL}
-	payload, _ := d.Encode()
-	f := &packet.Frame{Type: packet.TypeData, AckRequest: true, Src: 2, Dst: 1, Seq: 1, Payload: payload}
-	r.clock.After(0, func() { r.nodes[1].onDataFrame(f, phy.RxInfo{}) })
-	r.clock.RunUntil(11 * sim.Second)
-	if r.nodes[1].Stats.DropsTHL != 1 {
-		t.Fatalf("DropsTHL = %d, want 1", r.nodes[1].Stats.DropsTHL)
+	forwarded := func(thl uint8) (delivered int, tx int) {
+		r := newRig(t, 10, [][2]float64{{0, 0}, {30, 0}, {60, 0}}, cfg)
+		r.nodes[0].OnDeliver(func(origin packet.Addr, _ uint8, _ []byte) {
+			if origin == 9 {
+				delivered++
+			}
+		})
+		r.startAll()
+		r.clock.RunUntil(10 * sim.Second)
+		d := &packet.CTPData{Origin: 9, OriginSeq: 1, ETX: 60000, THL: thl}
+		payload, _ := d.Encode()
+		f := &packet.Frame{Type: packet.TypeData, AckRequest: true, Src: 2, Dst: 1, Seq: 1, Payload: payload}
+		r.clock.After(0, func() { r.nodes[1].onDataFrame(f, phy.RxInfo{}) })
+		r.clock.RunUntil(11 * sim.Second)
+		return delivered, len(r.log.dataTx(1, 10*sim.Second))
+	}
+	if d, tx := forwarded(cfg.MaxTHL - 1); d != 1 || tx == 0 {
+		t.Fatalf("THL below the cap: delivered %d after %d transmissions, want 1", d, tx)
+	}
+	if d, tx := forwarded(cfg.MaxTHL); d != 0 || tx != 0 {
+		t.Fatalf("THL at the cap: delivered %d after %d transmissions, want a silent drop", d, tx)
 	}
 }
 
@@ -249,23 +316,30 @@ func TestDuplicateSuppressionEndToEnd(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("delivered %d, want 1 (dup suppressed)", delivered)
 	}
-	if r.nodes[0].Stats.DupsDropped != 1 {
-		t.Fatalf("DupsDropped = %d, want 1", r.nodes[0].Stats.DupsDropped)
-	}
 }
 
 func TestPullFlagSpeedsUpNeighborBeacons(t *testing.T) {
 	// A late-booting node with no route sends pull beacons; its routed
-	// neighbor must reset Trickle in response.
-	r := newRig(t, 12, [][2]float64{{0, 0}, {30, 0}, {60, 0}}, DefaultConfig())
-	r.nodes[0].Start()
-	r.nodes[1].Start()
-	r.clock.RunUntil(60 * sim.Second) // node 1 settled, Trickle slowed
-	before := r.nodes[1].Stats.TrickleResets
-	r.nodes[2].Start() // boots routeless; beacons carry the pull flag
-	r.clock.RunUntil(90 * sim.Second)
-	if r.nodes[1].Stats.TrickleResets <= before {
-		t.Fatal("pull beacon did not reset the neighbor's Trickle")
+	// neighbor must reset Trickle in response and beacon at the fast
+	// rate again. The control never boots node 2: by 60 s node 1's
+	// Trickle has slowed, so it beacons at most once in the next 30 s.
+	run := func(join bool) *rig {
+		r := newRig(t, 12, [][2]float64{{0, 0}, {30, 0}, {60, 0}}, DefaultConfig())
+		r.nodes[0].Start()
+		r.nodes[1].Start()
+		r.clock.RunUntil(60 * sim.Second) // node 1 settled, Trickle slowed
+		if join {
+			r.nodes[2].Start() // boots routeless; beacons carry the pull flag
+		}
+		r.clock.RunUntil(90 * sim.Second)
+		return r
+	}
+	if n := run(false).log.beaconsBy(1, 60*sim.Second, 90*sim.Second); n > 1 {
+		t.Fatalf("control: node 1 beaconed %d times in 30 s unprompted", n)
+	}
+	r := run(true)
+	if n := r.log.beaconsBy(1, 60*sim.Second, 90*sim.Second); n < 3 {
+		t.Fatalf("node 1 beaconed %d times in 30 s after pull beacons, want a Trickle reset", n)
 	}
 	if r.nodes[2].Parent() != 1 {
 		t.Fatalf("late joiner parent = %v, want 1", r.nodes[2].Parent())

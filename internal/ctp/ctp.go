@@ -64,20 +64,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats counts per-node CTP activity.
-type Stats struct {
-	Generated     uint64 // client packets accepted from the application
-	Forwarded     uint64 // data packets passed on toward the root
-	BeaconsSent   uint64
-	ParentChanges uint64
-	TrickleResets uint64
-	LoopsDetected uint64
-	DupsDropped   uint64
-	DropsQueue    uint64 // enqueue failures (queue full / no room)
-	DropsRetry    uint64 // packets abandoned after MaxRetries
-	DropsTHL      uint64
-}
-
 // Deliver is the root's upward delivery callback; thl (time has lived) is
 // the packet's hop count. It is an alias, not a named type, so CTP and
 // MultiHopLQI nodes share one OnDeliver signature.
@@ -144,8 +130,6 @@ type Node struct {
 	encBuf     []byte             // scratch: encoded LE envelope / data payload
 	rxData     packet.CTPData     // scratch for data-frame decoding
 	envFree    []*packet.CTPData  // recycled forwarding-queue envelopes
-
-	Stats Stats
 }
 
 // New wires a CTP node onto its MAC and link estimator — any
@@ -219,7 +203,6 @@ func (n *Node) Send(data []byte) bool {
 		return false
 	}
 	n.originSeq++
-	n.Stats.Generated++
 	if n.isRoot {
 		if n.deliver != nil {
 			n.deliver(n.self, 0, data)

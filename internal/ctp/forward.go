@@ -25,7 +25,6 @@ func (n *Node) onDataFrame(f *packet.Frame, info phy.RxInfo) {
 		return
 	}
 	if n.dup.seen(d.Origin, d.OriginSeq, d.THL) {
-		n.Stats.DupsDropped++
 		return
 	}
 	n.dup.add(d.Origin, d.OriginSeq, d.THL)
@@ -44,14 +43,12 @@ func (n *Node) onDataFrame(f *packet.Frame, info phy.RxInfo) {
 	// enough (without the limit, inconsistency resets at every forwarded
 	// packet collapse Trickle into a permanent beacon storm).
 	if d.ETX != invalidETX && n.cost != noCost && float64(d.ETX)/10 <= n.cost {
-		n.Stats.LoopsDetected++
 		if now := n.clock.Now(); now-n.lastLoopReset >= 2*sim.Second {
 			n.lastLoopReset = now
 			n.trickleReset()
 		}
 	}
 	if d.THL >= n.cfg.MaxTHL {
-		n.Stats.DropsTHL++
 		return
 	}
 	env := n.newEnvelope()
@@ -68,7 +65,6 @@ func (n *Node) onDataFrame(f *packet.Frame, info phy.RxInfo) {
 
 func (n *Node) enqueue(d *packet.CTPData) bool {
 	if len(n.queue) >= n.cfg.QueueSize {
-		n.Stats.DropsQueue++
 		return false
 	}
 	n.queue = append(n.queue, d)
@@ -90,7 +86,6 @@ func (n *Node) pump() {
 		// Oversized application payload: drop rather than wedge the queue.
 		n.queue = n.queue[1:]
 		n.releaseEnvelope(d)
-		n.Stats.DropsQueue++
 		n.pump()
 		return
 	}
@@ -128,23 +123,13 @@ func (n *Node) onDataTxDone(dst packet.Addr, res mac.TxResult) {
 		// The ack bit: one sample per transmission (§3.1).
 		n.est.TxResult(dst, res.Acked)
 	}
-	retry := false
-	switch {
-	case res.Acked:
+	// An acked packet, or one out of retries, leaves the queue.
+	n.attempts++
+	retry := !res.Acked && n.attempts < n.cfg.MaxRetries
+	if !retry {
 		n.releaseEnvelope(n.queue[0])
 		n.queue = n.queue[1:]
 		n.attempts = 0
-		n.Stats.Forwarded++
-	default:
-		n.attempts++
-		if n.attempts >= n.cfg.MaxRetries {
-			n.releaseEnvelope(n.queue[0])
-			n.queue = n.queue[1:]
-			n.attempts = 0
-			n.Stats.DropsRetry++
-		} else {
-			retry = true
-		}
 	}
 	// The sample may have moved the estimate enough to switch parent (the
 	// switch pumps immediately through the new route).

@@ -120,7 +120,6 @@ func (n *Node) updateRoute() {
 			n.est.Unpin(n.parent)
 			n.parent = packet.None
 			n.cost = noCost
-			n.Stats.ParentChanges++
 			n.probes.ParentChange(n.self, old, packet.None, 0)
 			n.trickleReset() // lost the route: ask for help (pull)
 		}
@@ -133,7 +132,6 @@ func (n *Node) updateRoute() {
 			hadRoute := n.parent != packet.None
 			n.parent = best
 			n.est.Pin(best)
-			n.Stats.ParentChanges++
 			n.cost = bestTotal
 			n.probes.ParentChange(n.self, old, best, bestTotal)
 			if !hadRoute || curOK {
@@ -151,7 +149,6 @@ func (n *Node) updateRoute() {
 // trickleReset drops the beacon interval to the minimum and reschedules.
 func (n *Node) trickleReset() {
 	n.interval = n.cfg.BeaconMin
-	n.Stats.TrickleResets++
 	n.scheduleBeacon()
 }
 
@@ -198,7 +195,6 @@ func (n *Node) sendBeacon() {
 	}
 	n.txFrame = packet.Frame{Type: packet.TypeBeacon, Src: n.self, Dst: packet.Broadcast, Payload: n.encBuf}
 	if n.m.Send(&n.txFrame, n.beaconDone) == nil {
-		n.Stats.BeaconsSent++
 		n.probes.Beacon(n.self, cb.ETX, cb.Options&packet.CTPOptPull != 0)
 	}
 }

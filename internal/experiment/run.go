@@ -245,7 +245,6 @@ type Result struct {
 	EstLotteryWins uint64
 	EstBeaconWin   uint64 // completed beacon/estimation windows
 	EstUnicastWin  uint64 // completed unicast (ack-bit) windows
-	EstAgedMisses  uint64
 
 	// Timeline holds the run's windowed metrics when RunConfig asked for
 	// them (TimelineWindow > 0); nil otherwise.
@@ -327,27 +326,28 @@ func Run(rc RunConfig) *Result {
 			depthSamples++
 		}
 	}
-	if env.Sharded() {
-		// Samplers are coordinator work: they read every shard's router
-		// state, so they may only run at epoch barriers. ScheduleControl
-		// snaps each firing to the next barrier — barrier positions depend
-		// only on the epoch length, never on the shard count, so sampling
-		// instants are shard-count invariant. The control re-arms itself.
-		var arm func(at sim.Time)
-		arm = func(at sim.Time) {
-			if at > rc.Duration {
-				return
-			}
-			env.ScheduleControl(at, func() {
-				sampler()
-				arm(at + rc.SampleEvery)
-			})
+	// Samplers are run-level work: they read every node's router state.
+	// On the sharded path ScheduleControl runs each firing at the next
+	// epoch barrier, whose positions depend only on the epoch length, so
+	// sampling instants are shard-count invariant. On the serial path it
+	// is Clock.At.
+	var arm func(at sim.Time)
+	arm = func(at sim.Time) {
+		if at > rc.Duration {
+			return
 		}
-		arm(rc.Warmup)
+		env.ScheduleControl(at, func() {
+			sampler()
+			if rc.SampleEvery > 0 {
+				arm(at + rc.SampleEvery)
+			}
+		})
+	}
+	arm(rc.Warmup)
+	if env.Sharded() {
 		env.Group.RunUntil(rc.Duration)
 		env.Close()
 	} else {
-		env.Clock.Every(rc.Warmup, rc.SampleEvery, sampler)
 		env.Clock.RunUntil(rc.Duration)
 	}
 	ledger := net.FinalizeLedger()
@@ -392,7 +392,6 @@ func Run(rc RunConfig) *Result {
 	res.EstInserted, res.EstReplaced, res.EstRejected = s.Inserted, s.Replaced, s.RejectedFull
 	res.EstBeaconsIn, res.EstLotteryWins = s.BeaconsIn, s.LotteryWins
 	res.EstBeaconWin, res.EstUnicastWin = s.BeaconWindows, s.UnicastWindows
-	res.EstAgedMisses = s.AgedMisses
 	if timeline != nil {
 		res.Timeline = timeline.Finalize(env.Clock.Now())
 	}

@@ -6,6 +6,7 @@ import (
 	"fourbit/internal/mac"
 	"fourbit/internal/packet"
 	"fourbit/internal/phy"
+	"fourbit/internal/probe"
 	"fourbit/internal/sim"
 	"fourbit/internal/topo"
 )
@@ -16,7 +17,16 @@ type rig struct {
 	ch    *phy.Channel
 	nodes []*Node
 	macs  []*mac.MAC
+	tx    *txLog
 }
+
+// txLog records the MAC transmission outcomes the bus reports.
+type txLog struct {
+	probe.BaseSink
+	tx []probe.TxEvent
+}
+
+func (l *txLog) OnTx(e probe.TxEvent) { l.tx = append(l.tx, e) }
 
 func newRig(t *testing.T, seed uint64, positions [][2]float64, cfg Config) *rig {
 	t.Helper()
@@ -32,7 +42,8 @@ func newRig(t *testing.T, seed uint64, positions [][2]float64, cfg Config) *rig 
 	seeds := sim.NewSeedSpace(seed)
 	ch := phy.PrecomputeGeo(tp, p).NewChannel(seeds)
 	med := phy.NewMedium(clock, ch, phy.DefaultRadioParams(), phy.DefaultLQIParams(), seeds)
-	r := &rig{clock: clock, med: med, ch: ch}
+	r := &rig{clock: clock, med: med, ch: ch, tx: &txLog{}}
+	probe.NewBus(clock).Attach(r.tx)
 	for i := 0; i < n; i++ {
 		m := mac.New(clock, med.Radio(i), packet.Addr(i), mac.DefaultParams(), seeds.Stream("mac"))
 		nd := New(clock, m, i == 0, cfg, seeds.Stream("lqi"))
@@ -190,23 +201,28 @@ func TestDataForwardingAndDupSuppression(t *testing.T) {
 	if delivered != 11 {
 		t.Fatalf("delivered %d, want 11 (dup suppressed)", delivered)
 	}
-	if r.nodes[0].Stats.DupsDropped != 1 {
-		t.Fatal("dup not counted")
-	}
 }
 
 func TestHopCapDropsPacket(t *testing.T) {
+	// A packet one hop short of the cap is queued for forwarding; one at
+	// the cap is dropped.
 	cfg := DefaultConfig()
 	cfg.BeaconPeriod = 2 * sim.Second
-	r := newRig(t, 9, [][2]float64{{0, 0}, {30, 0}, {60, 0}}, cfg)
-	r.startAll()
-	r.clock.RunUntil(10 * sim.Second)
-	d := &packet.LQIData{Origin: 9, OriginSeq: 1, HopCount: cfg.MaxHops}
-	payload, _ := d.Encode()
-	f := &packet.Frame{Type: packet.TypeData, Src: 2, Dst: 1, Payload: payload}
-	r.nodes[1].handleData(f)
-	if r.nodes[1].Stats.DropsHops != 1 {
-		t.Fatalf("DropsHops = %d, want 1", r.nodes[1].Stats.DropsHops)
+	queued := func(hops uint8) int {
+		r := newRig(t, 9, [][2]float64{{0, 0}, {30, 0}, {60, 0}}, cfg)
+		r.startAll()
+		r.clock.RunUntil(10 * sim.Second)
+		d := &packet.LQIData{Origin: 9, OriginSeq: 1, HopCount: hops}
+		payload, _ := d.Encode()
+		f := &packet.Frame{Type: packet.TypeData, Src: 2, Dst: 1, Payload: payload}
+		r.nodes[1].handleData(f)
+		return len(r.nodes[1].queue)
+	}
+	if n := queued(cfg.MaxHops - 1); n != 1 {
+		t.Fatalf("below the cap: %d packets queued, want 1", n)
+	}
+	if n := queued(cfg.MaxHops); n != 0 {
+		t.Fatalf("at the cap: %d packets queued, want a drop", n)
 	}
 }
 
@@ -224,7 +240,7 @@ func TestNoFeedbackFromAcksToRouting(t *testing.T) {
 	}
 	// Kill only the data direction 1->0; beacons 0->1 keep flowing.
 	r.ch.SetModifier(1, 0, deadLink(80))
-	drops0 := r.nodes[1].Stats.DropsRetry
+	killed := r.clock.Now()
 	for i := 0; i < 10; i++ {
 		r.clock.After(sim.Time(i)*sim.Second, func() { r.nodes[1].Send([]byte{1}) })
 	}
@@ -233,7 +249,19 @@ func TestNoFeedbackFromAcksToRouting(t *testing.T) {
 		t.Fatalf("MultiHopLQI switched parent (%v) on ack failures — it has no such feedback",
 			r.nodes[1].Parent())
 	}
-	if r.nodes[1].Stats.DropsRetry <= drops0 {
-		t.Fatal("no retry-exhaustion drops despite dead data direction")
+	// Every packet spends its whole retry budget on the dead link and is
+	// dropped: MaxRetries unacked attempts each, then an empty queue.
+	attempts := 0
+	for _, e := range r.tx.tx {
+		if e.Node == 1 && !e.Broadcast() && e.At > killed {
+			if e.Acked {
+				t.Fatalf("transmission acked over a dead link: %+v", e)
+			}
+			attempts++
+		}
+	}
+	if attempts != 10*cfg.MaxRetries || len(r.nodes[1].queue) != 0 {
+		t.Fatalf("%d attempts with %d packets left queued, want %d attempts and none",
+			attempts, len(r.nodes[1].queue), 10*cfg.MaxRetries)
 	}
 }

@@ -51,18 +51,6 @@ func DefaultConfig() Config {
 // noRoute is the advertised cost of a node without a route.
 const noRoute = 0xFFFF
 
-// Stats counts per-node protocol activity.
-type Stats struct {
-	Generated     uint64
-	Forwarded     uint64
-	BeaconsSent   uint64
-	ParentChanges uint64
-	DupsDropped   uint64
-	DropsQueue    uint64
-	DropsRetry    uint64
-	DropsHops     uint64
-}
-
 // Deliver is the root's delivery callback. It is an alias, not a named
 // type, so CTP and MultiHopLQI nodes share one OnDeliver signature.
 type Deliver = func(origin packet.Addr, hops uint8, data []byte)
@@ -96,8 +84,6 @@ type Node struct {
 	dupFIFO   []dupKey
 	dupNext   int
 	originSeq uint16
-
-	Stats Stats
 }
 
 type dupKey struct {
@@ -166,7 +152,6 @@ func (n *Node) beaconFire() {
 		old := n.parent
 		n.parent = packet.None
 		n.myCost = noRoute
-		n.Stats.ParentChanges++
 		n.probes.ParentChange(n.self, old, packet.None, 0)
 	}
 	n.sendBeacon()
@@ -185,7 +170,6 @@ func (n *Node) sendBeacon() {
 	}
 	f := &packet.Frame{Type: packet.TypeBeacon, Src: n.self, Dst: packet.Broadcast, Payload: payload}
 	if n.m.Send(f, func(mac.TxResult) { n.pump() }) == nil {
-		n.Stats.BeaconsSent++
 		n.probes.Beacon(n.self, n.myCost, false)
 	}
 }
@@ -233,7 +217,6 @@ func (n *Node) handleBeacon(src packet.Addr, b *packet.LQIBeacon, info phy.RxInf
 	}
 	if total < n.myCost {
 		if n.parent != src {
-			n.Stats.ParentChanges++
 			// ParentChangeEvent.Cost is ETX-comparable by contract; the
 			// raw MultiHopLQI cost normalizes onto that scale by the
 			// saturated-LQI hop cost (exactly core.ETXFromLQI's anchor).
@@ -252,7 +235,6 @@ func (n *Node) Send(data []byte) bool {
 		return false
 	}
 	n.originSeq++
-	n.Stats.Generated++
 	if n.isRoot {
 		if n.deliver != nil {
 			n.deliver(n.self, 0, data)
@@ -277,7 +259,6 @@ func (n *Node) handleData(f *packet.Frame) {
 	}
 	k := dupKey{d.Origin, d.OriginSeq}
 	if _, seen := n.dup[k]; seen {
-		n.Stats.DupsDropped++
 		return
 	}
 	n.dupAdd(k)
@@ -288,7 +269,6 @@ func (n *Node) handleData(f *packet.Frame) {
 		return
 	}
 	if d.HopCount >= n.cfg.MaxHops {
-		n.Stats.DropsHops++
 		return
 	}
 	fwd := *d
@@ -314,7 +294,6 @@ func (n *Node) dupAdd(k dupKey) {
 
 func (n *Node) enqueue(d *packet.LQIData) bool {
 	if len(n.queue) >= n.cfg.QueueSize {
-		n.Stats.DropsQueue++
 		return false
 	}
 	n.queue = append(n.queue, d)
@@ -330,7 +309,6 @@ func (n *Node) pump() {
 	n.encBuf, err = d.AppendTo(n.encBuf[:0])
 	if err != nil {
 		n.queue = n.queue[1:]
-		n.Stats.DropsQueue++
 		n.pump()
 		return
 	}
@@ -359,20 +337,13 @@ func (n *Node) retryAfter(d sim.Time) {
 
 func (n *Node) onDataTxDone(res mac.TxResult) {
 	n.sending = false
-	if res.Acked {
-		n.queue = n.queue[1:]
-		n.attempts = 0
-		n.Stats.Forwarded++
-		n.pump()
-		return
-	}
 	// No link-layer feedback reaches route selection: MultiHopLQI keeps
-	// hammering the same parent until its bounded retries run out.
+	// hammering the same parent until its bounded retries run out. An
+	// acked packet, or one out of retries, leaves the queue.
 	n.attempts++
-	if n.attempts >= n.cfg.MaxRetries {
+	if res.Acked || n.attempts >= n.cfg.MaxRetries {
 		n.queue = n.queue[1:]
 		n.attempts = 0
-		n.Stats.DropsRetry++
 		n.pump()
 		return
 	}

@@ -58,16 +58,13 @@ type TxResult struct {
 }
 
 // Stats counts per-node link-layer activity. TxData is the basis of the
-// paper's cost metric (transmissions per delivered packet).
+// paper's cost metric (transmissions per delivered packet); AckTimeouts
+// feeds Figure 3's unacked-transmission ramp. Every other link-layer
+// event is visible on the probe bus.
 type Stats struct {
 	TxData      uint64 // unicast data transmissions put on air
 	TxBeacons   uint64 // broadcast transmissions put on air
-	TxAcks      uint64
-	RxData      uint64
-	RxBeacons   uint64
-	RxAcks      uint64
 	AckTimeouts uint64
-	CCAFailures uint64 // Sends abandoned with the channel busy
 }
 
 // ErrBusy is returned by Send when a transmission is already in flight.
@@ -223,7 +220,6 @@ func (m *MAC) tryCCA(op *txOp) {
 	op.attempts++
 	if !m.radio.ChannelClear() {
 		if op.attempts >= m.p.MaxCCAAttempts {
-			m.Stats.CCAFailures++
 			m.finish(op, TxResult{Sent: false, CCAAttempts: op.attempts})
 			return
 		}
@@ -277,20 +273,14 @@ func (m *MAC) onRadioReceive(data []byte, info phy.RxInfo) {
 		if f.Dst != m.addr {
 			return
 		}
-		m.Stats.RxAcks++
 		op := m.cur
 		if op != nil && op.awaitAck && op.state == txAckWait && m.timer.Active() &&
 			f.Seq == op.frame.Seq && f.Src == op.frame.Dst {
 			m.finish(op, TxResult{Sent: true, Acked: true, CCAAttempts: op.attempts})
 		}
 	case f.Dst == m.addr || f.Dst == packet.Broadcast:
-		if f.Dst == m.addr {
-			m.Stats.RxData++
-			if f.AckRequest {
-				m.sendAck(f)
-			}
-		} else {
-			m.Stats.RxBeacons++
+		if f.Dst == m.addr && f.AckRequest {
+			m.sendAck(f)
 		}
 		m.probes.Rx(m.addr, f.Src, f.Dst, info.LQI)
 		if m.recv != nil {
@@ -343,7 +333,5 @@ func (m *MAC) fireAck(op *ackOp) {
 		op.busyUntil = m.clock.Now() - 1 // tx collision with our own frame; ack is lost
 		return
 	}
-	air := m.radio.Transmit(op.enc)
-	m.Stats.TxAcks++
-	op.busyUntil = m.clock.Now() + air
+	op.busyUntil = m.clock.Now() + m.radio.Transmit(op.enc)
 }

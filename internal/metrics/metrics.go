@@ -1,7 +1,7 @@
 // Package metrics provides the small statistical toolkit the experiment
-// harness uses to report the paper's numbers: streaming summaries,
-// quantiles, boxplot five-number summaries (Figure 8), time series
-// (Figure 3), and routing-tree depth computation (Figures 2, 6, 7).
+// harness uses to report the paper's numbers: quantiles, boxplot
+// five-number summaries (Figure 8), time series (Figure 3), and
+// routing-tree depth computation (Figures 2, 6, 7).
 package metrics
 
 import (
@@ -9,56 +9,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Summary accumulates a stream of float64 observations.
-type Summary struct {
-	n          int
-	sum, sumSq float64
-	min, max   float64
-}
-
-// Add records an observation.
-func (s *Summary) Add(v float64) {
-	if s.n == 0 || v < s.min {
-		s.min = v
-	}
-	if s.n == 0 || v > s.max {
-		s.max = v
-	}
-	s.n++
-	s.sum += v
-	s.sumSq += float64(v * v)
-}
-
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
-
-// Mean returns the arithmetic mean (0 when empty).
-func (s *Summary) Mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.sum / float64(s.n)
-}
-
-// Std returns the population standard deviation.
-func (s *Summary) Std() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	v := s.sumSq/float64(s.n) - float64(m*m)
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// Min returns the smallest observation (0 when empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 when empty).
-func (s *Summary) Max() float64 { return s.max }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of values using linear
 // interpolation between order statistics. It sorts a copy.
@@ -95,19 +45,26 @@ func NewBoxplot(values []float64) Boxplot {
 	if len(values) == 0 {
 		return Boxplot{}
 	}
-	var s Summary
-	for _, v := range values {
-		s.Add(v)
-	}
-	return Boxplot{
-		Min:    s.Min(),
+	b := Boxplot{
+		Min:    values[0],
 		Q1:     Quantile(values, 0.25),
 		Median: Quantile(values, 0.5),
 		Q3:     Quantile(values, 0.75),
-		Max:    s.Max(),
-		Mean:   s.Mean(),
+		Max:    values[0],
 		N:      len(values),
 	}
+	var sum float64
+	for _, v := range values {
+		if v < b.Min {
+			b.Min = v
+		}
+		if v > b.Max {
+			b.Max = v
+		}
+		sum += v
+	}
+	b.Mean = sum / float64(len(values))
+	return b
 }
 
 // String renders the summary compactly.

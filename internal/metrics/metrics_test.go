@@ -6,26 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestSummaryBasics(t *testing.T) {
-	var s Summary
-	for _, v := range []float64{1, 2, 3, 4} {
-		s.Add(v)
-	}
-	if s.N() != 4 || s.Mean() != 2.5 || s.Min() != 1 || s.Max() != 4 {
-		t.Fatalf("summary wrong: n=%d mean=%v min=%v max=%v", s.N(), s.Mean(), s.Min(), s.Max())
-	}
-	if math.Abs(s.Std()-math.Sqrt(1.25)) > 1e-12 {
-		t.Fatalf("std = %v", s.Std())
-	}
-}
-
-func TestSummaryEmpty(t *testing.T) {
-	var s Summary
-	if s.Mean() != 0 || s.Std() != 0 {
-		t.Fatal("empty summary should be zero-valued")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	vals := []float64{5, 1, 3, 2, 4}
 	cases := []struct{ q, want float64 }{
@@ -75,15 +55,15 @@ func TestPropertyQuantileMonotone(t *testing.T) {
 }
 
 func TestBoxplot(t *testing.T) {
-	b := NewBoxplot([]float64{1, 2, 3, 4, 5})
+	b := NewBoxplot([]float64{4, 1, 5, 3, 2}) // unsorted: min and max are found, not read off the ends
 	if b.Min != 1 || b.Median != 3 || b.Max != 5 || b.Mean != 3 || b.N != 5 {
 		t.Fatalf("boxplot = %+v", b)
 	}
 	if b.Q1 != 2 || b.Q3 != 4 {
 		t.Fatalf("quartiles = %v, %v", b.Q1, b.Q3)
 	}
-	if NewBoxplot(nil).N != 0 {
-		t.Fatal("empty boxplot should be zero")
+	if e := NewBoxplot(nil); e != (Boxplot{}) {
+		t.Fatalf("empty boxplot = %+v, want zero", e)
 	}
 	if b.String() == "" {
 		t.Fatal("String empty")

@@ -342,8 +342,7 @@ type Network struct {
 	MACs    []*mac.MAC
 	// Ests holds every node's link estimator in address order; nil when
 	// the router estimates inline (MultiHopLQI).
-	Ests    []core.LinkEstimator
-	Sources []*collect.Source
+	Ests []core.LinkEstimator
 	// Ledger is the run's delivery accounting. On the serial path it is
 	// live throughout the run; on the sharded path it is nil until
 	// FinalizeLedger merges the per-shard state after the run.
@@ -385,11 +384,9 @@ func Build(env *Env, newRouter RouterFunc, wl collect.Workload) *Network {
 		if env.IsRoot(i) {
 			continue
 		}
-		src := collect.NewSource(env.ClockFor(i), packet.Addr(i), wl,
+		collect.NewSource(env.ClockFor(i), packet.Addr(i), wl,
 			env.Seeds.Stream(fmt.Sprintf("src/%d", i)),
-			net.Routers[i].Send, net.ledgers.forNode(env, i))
-		src.Start(boot)
-		net.Sources = append(net.Sources, src)
+			net.Routers[i].Send, net.ledgers.forNode(env, i)).Start(boot)
 	}
 	return net
 }

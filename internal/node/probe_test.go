@@ -8,6 +8,7 @@ import (
 	"fourbit/internal/ctp"
 	"fourbit/internal/lqirouter"
 	"fourbit/internal/node"
+	"fourbit/internal/packet"
 	"fourbit/internal/probe"
 	"fourbit/internal/sim"
 	"fourbit/internal/topo"
@@ -20,26 +21,86 @@ func probeWorkload() collect.Workload {
 	return wl
 }
 
-// extraCounts tallies the two events the timeline collector does not
-// count: CSMA give-ups and network-layer beacons.
+// extraCounts tallies what the timeline collector does not: CSMA
+// give-ups, broadcast transmission outcomes and network-layer beacons. It
+// also replays every node's parent changes, which must chain (each From is
+// the previous To, starting from packet.None) and end at the router's
+// current parent.
 type extraCounts struct {
 	probe.BaseSink
-	ccaGiveUps, beacons uint64
+	maxCCA                      int
+	ccaGiveUps, badGiveUps      uint64
+	broadcastTx, beacons        uint64
+	parents                     []packet.Addr
+	brokenChains, parentChanges uint64
+}
+
+func newExtraCounts(env *node.Env) *extraCounts {
+	c := &extraCounts{maxCCA: env.Cfg.MAC.MaxCCAAttempts, parents: make([]packet.Addr, env.Topo.N())}
+	for i := range c.parents {
+		c.parents[i] = packet.None
+	}
+	return c
 }
 
 func (c *extraCounts) OnTx(ev probe.TxEvent) {
 	if !ev.Sent {
 		c.ccaGiveUps++
+		if ev.CCAAttempts != c.maxCCA {
+			c.badGiveUps++
+		}
+	}
+	if ev.Broadcast() {
+		c.broadcastTx++
 	}
 }
 
 func (c *extraCounts) OnBeacon(probe.BeaconEvent) { c.beacons++ }
 
+func (c *extraCounts) OnParentChange(ev probe.ParentChangeEvent) {
+	if ev.From != c.parents[ev.Node] {
+		c.brokenChains++
+	}
+	c.parents[ev.Node] = ev.To
+	c.parentChanges++
+}
+
+// checkRouting reconciles the bus's routing events with what the routers
+// and MACs still hold. A beacon is announced when its Send is accepted and
+// its TxEvent follows when the MAC finishes, so the two counts differ by
+// the broadcasts still in flight: at most one per busy MAC.
+func (c *extraCounts) checkRouting(t *testing.T, net *node.Network, parentChanges uint64) {
+	t.Helper()
+	if c.brokenChains != 0 {
+		t.Errorf("%d parent changes do not start at the previous parent", c.brokenChains)
+	}
+	if c.parentChanges != parentChanges || c.parentChanges == 0 {
+		t.Errorf("replayed %d parent changes, collector counted %d", c.parentChanges, parentChanges)
+	}
+	for i, r := range net.Routers {
+		if c.parents[i] != r.Parent() {
+			t.Errorf("node %d: replayed parent %v, router holds %v", i, c.parents[i], r.Parent())
+		}
+	}
+	var busy uint64
+	for _, m := range net.MACs {
+		if m.Busy() {
+			busy++
+		}
+	}
+	if c.beacons < c.broadcastTx || c.beacons > c.broadcastTx+busy {
+		t.Errorf("bus beacons = %d, broadcast TxEvents = %d with %d MACs busy", c.beacons, c.broadcastTx, busy)
+	}
+	if c.badGiveUps != 0 {
+		t.Errorf("%d of %d CSMA give-ups report other than %d CCA attempts", c.badGiveUps, c.ccaGiveUps, c.maxCCA)
+	}
+}
+
 // busTotals attaches a timeline collector and an extraCounts sink to env's
 // bus; the returned function finalizes the collector and sums its windows.
 func busTotals(env *node.Env) (*extraCounts, func() probe.Window) {
 	col := probe.NewCollector(20 * sim.Second)
-	extra := &extraCounts{}
+	extra := newExtraCounts(env)
 	env.Probes.Attach(col)
 	env.Probes.Attach(extra)
 	return extra, func() probe.Window {
@@ -59,11 +120,11 @@ func busTotals(env *node.Env) (*extraCounts, func() probe.Window) {
 	}
 }
 
-// The probe bus must observe exactly what the per-node Stats counters
-// measure: the bus is the subscription point that replaces ad-hoc counter
-// scraping, so any event it drops (or double-counts) is a bug. This test
-// runs a real CTP network with the timeline collector attached and
-// reconciles its window totals against the per-layer counters.
+// The probe bus is the one count surface, so any event it drops (or
+// double-counts) is a bug. This test runs a real CTP network with the
+// timeline collector attached and reconciles its window totals against
+// the MAC counters, the estimators' counters, the ledger and the routers'
+// parents.
 func TestProbeBusMatchesCountersCTP(t *testing.T) {
 	env := node.NewEnv(topo.Grid(4, 4, 6), node.DefaultEnvConfig(7, -5))
 	extra, totals := busTotals(env)
@@ -80,24 +141,7 @@ func TestProbeBusMatchesCountersCTP(t *testing.T) {
 	if got, want := bus.BeaconTx, net.BeaconTransmissions(); got != want {
 		t.Errorf("bus BeaconTx = %d, MAC counters = %d", got, want)
 	}
-	var ccaFails, parentChanges, beaconsSent uint64
-	for _, m := range net.MACs {
-		ccaFails += m.Stats.CCAFailures
-	}
-	for _, r := range net.Routers {
-		n := r.(*ctp.Node)
-		parentChanges += n.Stats.ParentChanges
-		beaconsSent += n.Stats.BeaconsSent
-	}
-	if extra.ccaGiveUps != ccaFails {
-		t.Errorf("bus CCA give-ups = %d, MAC counters = %d", extra.ccaGiveUps, ccaFails)
-	}
-	if bus.ParentChanges != parentChanges {
-		t.Errorf("bus ParentChanges = %d, CTP counters = %d", bus.ParentChanges, parentChanges)
-	}
-	if extra.beacons != beaconsSent {
-		t.Errorf("bus beacons = %d, CTP counters = %d", extra.beacons, beaconsSent)
-	}
+	extra.checkRouting(t, net, bus.ParentChanges)
 	est := core.SumStats(net.Ests)
 	if bus.TableInserted != est.Inserted {
 		t.Errorf("bus Inserted = %d, estimator counters = %d", bus.TableInserted, est.Inserted)
@@ -134,18 +178,7 @@ func TestProbeBusMatchesCountersLQI(t *testing.T) {
 	if got, want := bus.BeaconTx, net.BeaconTransmissions(); got != want {
 		t.Errorf("bus BeaconTx = %d, MAC counters = %d", got, want)
 	}
-	var parentChanges, beaconsSent uint64
-	for _, r := range net.Routers {
-		n := r.(*lqirouter.Node)
-		parentChanges += n.Stats.ParentChanges
-		beaconsSent += n.Stats.BeaconsSent
-	}
-	if bus.ParentChanges != parentChanges {
-		t.Errorf("bus ParentChanges = %d, router counters = %d", bus.ParentChanges, parentChanges)
-	}
-	if extra.beacons != beaconsSent {
-		t.Errorf("bus beacons = %d, router counters = %d", extra.beacons, beaconsSent)
-	}
+	extra.checkRouting(t, net, bus.ParentChanges)
 	if got, want := bus.Delivered, net.Ledger.Unique()+net.Ledger.Duplicates(); got != want {
 		t.Errorf("bus Delivered = %d, ledger = %d", got, want)
 	}

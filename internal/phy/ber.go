@@ -15,7 +15,7 @@ func BER(sinrDB float64) float64 {
 	gamma := DBToLinear(sinrDB)
 	var sum float64
 	for k := 2; k <= 16; k++ {
-		term := binom16[k] * math.Exp(20*gamma*(1/float64(k)-1))
+		term := float64(binom16[k] * math.Exp(20*gamma*(1/float64(k)-1)))
 		if k%2 == 0 {
 			sum += term
 		} else {

@@ -70,9 +70,9 @@ func (o *ouState) sample(t sim.Time, tau sim.Time, sigma float64, rng *sim.Rand,
 	i := co.slot(dt)
 	if co.dt[i] != dt {
 		a := math.Exp(-float64(dt) / float64(tau))
-		co.dt[i], co.decay[i], co.diff[i] = dt, a, sigma*math.Sqrt(1-a*a)
+		co.dt[i], co.decay[i], co.diff[i] = dt, a, sigma*math.Sqrt(1-float64(a*a))
 	}
-	o.value = o.value*co.decay[i] + rng.Normal(0, co.diff[i])
+	o.value = float64(o.value*co.decay[i]) + rng.Normal(0, co.diff[i])
 	o.lastPlus1 = t + 1
 	return o.value
 }
@@ -200,9 +200,9 @@ func (g *GilbertElliott) ExtraLossDB(t sim.Time) float64 {
 		}
 		var pGood float64
 		if g.state {
-			pGood = g.piGood + (1-g.piGood)*decay
+			pGood = g.piGood + float64((1-g.piGood)*decay)
 		} else {
-			pGood = g.piGood - g.piGood*decay
+			pGood = g.piGood - float64(g.piGood*decay)
 		}
 		g.state = g.rng.Bernoulli(pGood)
 		g.last = t

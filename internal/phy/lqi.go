@@ -51,7 +51,7 @@ func DefaultLQIParams() LQIParams {
 // Synthesize produces the LQI byte and white bit for a packet received at
 // the given SNR.
 func (p LQIParams) Synthesize(snrDB float64, rng *sim.Rand) (lqi uint8, white bool) {
-	v := p.Base + p.Slope*snrDB + rng.Normal(0, p.NoiseSigma)
+	v := p.Base + float64(p.Slope*snrDB) + rng.Normal(0, p.NoiseSigma)
 	if v < p.Min {
 		v = p.Min
 	}

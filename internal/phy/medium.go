@@ -335,7 +335,7 @@ func (m *Medium) arrive(f *frame, lo, hi int, stats *MediumStats) {
 	cands, slots := m.candidates[from], m.candSlots[from]
 	for ci := lo; ci < hi; ci++ {
 		j := int(cands[ci])
-		pmw := f.txPowMW * m.ch.gainLinSlot(from, j, slots[ci], f.start)
+		pmw := float64(f.txPowMW * m.ch.gainLinSlot(from, j, slots[ci], f.start))
 		if pmw < m.detectMW {
 			continue
 		}

@@ -82,7 +82,7 @@ func buildPRRTable(frameBytes int) *PRRTable {
 	}
 	const step = 1.0 / prrTableStepsPerDB
 	for g := range t.val {
-		t.val[g] = PRR(prrTableMinDB+float64(g)*step, frameBytes)
+		t.val[g] = PRR(prrTableMinDB+float64(float64(g)*step), frameBytes)
 	}
 	if t.val[prrTableCells] != 1 {
 		// Analytically impossible for frameBytes <= prrMaxTableBytes (the
@@ -138,13 +138,13 @@ func (t *PRRTable) Lookup(sinrDB float64) float64 {
 	if sinrDB <= prrTableMinDB {
 		return t.val[0]
 	}
-	pos := (sinrDB - prrTableMinDB) * prrTableStepsPerDB
+	pos := float64((sinrDB - prrTableMinDB) * prrTableStepsPerDB)
 	i := int(pos)
 	if i >= prrTableCells { // guard the rounding edge at the domain top
 		i = prrTableCells - 1
 	}
 	frac := pos - float64(i)
-	return t.val[i] + frac*(t.val[i+1]-t.val[i])
+	return t.val[i] + float64(frac*(t.val[i+1]-t.val[i]))
 }
 
 // Decide performs the reception Bernoulli draw for a frame heard at

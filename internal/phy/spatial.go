@@ -101,7 +101,7 @@ const (
 // shadowing draw defeats the headroom still get the exact evaluation, so
 // the radius tunes construction cost only, never the audible set.
 func (p Params) CutoffRadiusM() float64 {
-	headroom := cutoffHeadroomSigmas * math.Sqrt(p.ShadowSigmaDB*p.ShadowSigmaDB+p.TxVarSigmaDB*p.TxVarSigmaDB)
+	headroom := cutoffHeadroomSigmas * math.Sqrt(float64(p.ShadowSigmaDB*p.ShadowSigmaDB)+float64(p.TxVarSigmaDB*p.TxVarSigmaDB))
 	pl := -audibleFloorDB + headroom
 	r := math.Pow(10, (pl-p.PathLossRefDB)/(10*p.PathLossExponent))
 	if r < 1 {
@@ -141,7 +141,7 @@ func PrecomputeGeo(g Geometry, p Params) *ChannelPre {
 		// Monotone path loss: any pair farther than r (bucket misses are
 		// farther by construction) loses at least this much to distance
 		// alone. r >= 1 > 0.5, so the short-range clamp cannot undercut it.
-		plAtCutoff: p.PathLossRefDB + 10*p.PathLossExponent*math.Log10(r),
+		plAtCutoff: p.PathLossRefDB + float64(10*p.PathLossExponent*math.Log10(r)),
 		nearOff:    make([]int32, n+1),
 	}
 	// Grid buckets of side r over the horizontal plane: any pair within r
@@ -189,7 +189,7 @@ func PrecomputeGeo(g Geometry, p Params) *ChannelPre {
 						continue
 					}
 					ddx, ddy := xs[i]-xs[int(j)], ys[i]-ys[int(j)]
-					if ddx*ddx+ddy*ddy > rr {
+					if float64(ddx*ddx)+float64(ddy*ddy) > rr {
 						continue
 					}
 					if d := g.Distance(i, int(j)); d <= r {
@@ -205,7 +205,7 @@ func PrecomputeGeo(g Geometry, p Params) *ChannelPre {
 			if d < 0.5 {
 				d = 0.5
 			}
-			base := p.PathLossRefDB + 10*p.PathLossExponent*math.Log10(d)
+			base := p.PathLossRefDB + float64(10*p.PathLossExponent*math.Log10(d))
 			e := g.ExtraLossDB(i, int(j))
 			if base+e > pre.plAtCutoff {
 				// Deterministic loss alone already exceeds the certified
@@ -284,7 +284,7 @@ func (pre *ChannelPre) buildLinks(c *Channel, static *sim.Rand, txOff []float64)
 				if d < 0.5 {
 					d = 0.5
 				}
-				pl = p.PathLossRefDB + 10*p.PathLossExponent*math.Log10(d)
+				pl = p.PathLossRefDB + float64(10*p.PathLossExponent*math.Log10(d))
 				pl += s
 				pl += pre.geo.ExtraLossDB(i, j)
 			}

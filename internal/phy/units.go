@@ -45,8 +45,8 @@ const dbBoundSlack = 1e-9
 // the top of the bucket, 10·log10(1+(k+1)/256), plus dbBoundSlack.
 var dbMant, dbMantHi = func() (lo, hi [256]float64) {
 	for k := range lo {
-		lo[k] = float64(10*math.Log10(1+float64(k)/256)) - dbBoundSlack
-		hi[k] = float64(10*math.Log10(1+float64(k+1)/256)) + dbBoundSlack
+		lo[k] = float64(10*math.Log10(1+float64(float64(k)/256))) - dbBoundSlack
+		hi[k] = float64(10*math.Log10(1+float64(float64(k+1)/256))) + dbBoundSlack
 	}
 	return lo, hi
 }()

@@ -102,10 +102,16 @@ func TestRecorderCapturesLossyLink(t *testing.T) {
 func TestRecorderCountsUnicastOut(t *testing.T) {
 	env, macs := beaconNet(3, 10)
 	rec := NewRecorder(env, 10*sim.Second, "unicast")
+	rxData := 0
+	macs[1].OnReceive(func(f *packet.Frame, _ phy.RxInfo) {
+		if f.Type == packet.TypeData {
+			rxData++
+		}
+	})
 	data := packet.Frame{Type: packet.TypeData, Src: 0, Dst: 1, AckRequest: true}
 	sendLoop(env.Clock, macs[0], data, sim.Second)
 	env.Clock.RunUntil(30 * sim.Second)
-	if macs[1].Stats.RxData == 0 {
+	if rxData == 0 {
 		t.Fatal("no unicast traffic reached the receiver")
 	}
 	if tr := rec.Finalize(); len(tr.Links) != 0 {
